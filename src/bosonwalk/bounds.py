@@ -77,6 +77,11 @@ class ExperimentRecord:
     wavelength: Optional[float] = None        # m, anisotropy only
 
     def validate(self) -> None:
+        # NaN passes every ordered comparison below, so test it first
+        for name in ("e_qg_lower_bound", "delta_c_over_c", "wavelength"):
+            if not math.isfinite(getattr(self, name) or 0.0):
+                raise CatalogValidationError(
+                    f"record {self.id!r}: {name} must be finite")
         if self.kind not in (DISPERSION, ANISOTROPY):
             raise CatalogValidationError(
                 f"record {self.id!r}: unknown kind {self.kind!r}")

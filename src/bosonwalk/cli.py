@@ -186,20 +186,40 @@ def _load_packet_config(path) -> dict:
     return raw
 
 
+def _packet_number(field: str, value, integral: bool = False):
+    """A packet-file number; booleans, NaN, infinities and (when integral)
+    fractions are refused rather than coerced."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not (
+                math.isfinite(value) and (value.is_integer() or not integral))):
+        kind = "an integer" if integral else "a finite number"
+        raise PacketSpecError(
+            f"packet field {field!r} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _packet_triple(field: str, value, integral: bool = False) -> tuple:
+    if not isinstance(value, list) or len(value) != 3:
+        raise PacketSpecError(f"packet field {field!r} must be a list of 3")
+    return tuple(_packet_number(field, v, integral) for v in value)
+
+
 def cmd_propagate(args) -> int:
     raw = _load_packet_config(args.packet)
-    n = args.n if args.n is not None else raw["n"]
-    steps = args.steps if args.steps is not None else raw["steps"]
-    lat = lattice.Lattice(int(n))
+    n = args.n if args.n is not None else _packet_number("n", raw["n"], True)
+    steps = (args.steps if args.steps is not None
+             else _packet_number("steps", raw["steps"], True))
+    sample_every = _packet_number("sample_every", raw["sample_every"], True)
+    lat = lattice.Lattice(n)
     spec = lattice.WavePacketSpec(
         kind=raw["kind"],
-        k0=tuple(float(v) for v in raw["k0"]),
-        x0=tuple(int(v) for v in raw["x0"]),
-        width=float(raw["width"]),
-        helicity=int(raw["helicity"]),
+        k0=_packet_triple("k0", raw["k0"]),
+        x0=_packet_triple("x0", raw["x0"], True),
+        width=_packet_number("width", raw["width"]),
+        helicity=_packet_number("helicity", raw["helicity"], True),
     )
     measured = lattice.measure_group_velocity(
-        lat, spec, steps=int(steps), sample_every=int(raw["sample_every"]))
+        lat, spec, steps=steps, sample_every=sample_every)
     if args.format == "csv":
         lines = ["step,cx,cy,cz,sx,sy,sz,norm"]
         t = measured.trajectory
@@ -216,8 +236,8 @@ def cmd_propagate(args) -> int:
         predicted = lattice.predicted_packet_velocity(lat, spec)
         summary = {
             "n": lat.n,
-            "steps": int(steps),
-            "sample_every": int(raw["sample_every"]),
+            "steps": steps,
+            "sample_every": sample_every,
             "kind": spec.kind,
             "helicity": spec.helicity,
             "k0_snapped": [k0.kx, k0.ky, k0.kz],

@@ -40,6 +40,9 @@ from .errors import (
 PHASE_CLAMP_WINDOW = 1e-12
 DEGENERACY_MARGIN = 1e-9
 
+# (branch, offset of its 3-component block in the internal space)
+BRANCHES = (("primary", 3), ("mirror", 0))
+
 _GAMMA = tuple(build_gamma(a) for a in Axis)
 _I6 = np.eye(6, dtype=complex)
 
@@ -78,35 +81,9 @@ def _components(kappa) -> np.ndarray:
     return arr
 
 
-def _rotation_blocks(cx, cy, cz, sx, sy, sz):
-    """Return the two 3x3 rotation blocks, broadcasting over array inputs.
-
-    The first (upper) block is the mirror branch, the second (lower) the
-    primary branch carrying phase(kappa).
-    """
-    upper = np.stack([
-        np.stack([cy * cz, -cy * sz, sy + 0 * cx], axis=-1),
-        np.stack([cz * sx * sy + cx * sz, cx * cz - sx * sy * sz, -cy * sx], axis=-1),
-        np.stack([-cx * cz * sy + sx * sz, cz * sx + cx * sy * sz, cx * cy], axis=-1),
-    ], axis=-2)
-    lower = np.stack([
-        np.stack([cy * cz, cy * sz, -sy + 0 * cx], axis=-1),
-        np.stack([cz * sx * sy - cx * sz, cx * cz + sx * sy * sz, cy * sx], axis=-1),
-        np.stack([cx * cz * sy + sx * sz, -cz * sx + cx * sy * sz, cx * cy], axis=-1),
-    ], axis=-2)
-    return upper, lower
-
-
 def kernel_closed_form(kappa) -> np.ndarray:
     """The 6x6 step unitary assembled from its closed-form entries."""
-    kx, ky, kz = _components(kappa)
-    cx, cy, cz = math.cos(kx), math.cos(ky), math.cos(kz)
-    sx, sy, sz = math.sin(kx), math.sin(ky), math.sin(kz)
-    upper, lower = _rotation_blocks(cx, cy, cz, sx, sy, sz)
-    u = np.zeros((6, 6), dtype=complex)
-    u[:3, :3] = upper
-    u[3:, 3:] = lower
-    return u
+    return kernel_grid(*_components(kappa))
 
 
 def _axis_factor(axis: int, theta: float) -> np.ndarray:
@@ -151,10 +128,7 @@ def _checked_phase(y: float, clamp_tol: float) -> float:
         raise ArgumentOutOfRangeError(
             f"cosine argument {1.0 - y!r} outside [-1, 1] by more "
             f"than {clamp_tol}")
-    y = min(2.0, max(0.0, y))
-    if y <= 1.0:
-        return 2.0 * math.asin(math.sqrt(0.5 * y))
-    return math.pi - 2.0 * math.asin(math.sqrt(0.5 * (2.0 - y)))
+    return float(_arccos_one_minus(y))
 
 
 def _on_axis_magnitude(kx: float, ky: float, kz: float):
@@ -217,18 +191,6 @@ class BranchModes:
     backward: np.ndarray
 
 
-def _block_lagrange(block: np.ndarray, phi: float):
-    """Three-point Lagrange projectors of a 3x3 rotation with angle phi."""
-    em = complex(math.cos(phi), -math.sin(phi))
-    ep = em.conjugate()
-    eye = np.eye(3)
-    b = block.astype(complex)
-    forward = (b - eye) @ (b - ep * eye) / ((em - 1.0) * (em - ep))
-    axis = (b - em * eye) @ (b - ep * eye) / ((1.0 - em) * (1.0 - ep))
-    backward = (b - eye) @ (b - em * eye) / ((ep - 1.0) * (ep - em))
-    return forward, axis, backward
-
-
 def _embed(block_matrix: np.ndarray, offset: int) -> np.ndarray:
     out = np.zeros((6, 6), dtype=complex)
     out[offset:offset + 3, offset:offset + 3] = block_matrix
@@ -242,19 +204,16 @@ def branch_decomposition(kappa) -> tuple[BranchModes, BranchModes]:
     branch angle sits within the margin of 0 or pi, where its circular
     modes merge.
     """
-    kx, ky, kz = _components(kappa)
-    cx, cy, cz = math.cos(kx), math.cos(ky), math.cos(kz)
-    sx, sy, sz = math.sin(kx), math.sin(ky), math.sin(kz)
-    upper, lower = _rotation_blocks(cx, cy, cz, sx, sy, sz)
     phi_primary = phase(kappa)
     phi_mirror = mirror_phase(kappa)
     _require_nondegenerate(phi_primary, "phase")
     _require_nondegenerate(phi_mirror, "mirror phase")
-    primary = BranchModes("primary", phi_primary, 3,
-                          *_block_lagrange(lower, phi_primary))
-    mirror = BranchModes("mirror", phi_mirror, 0,
-                         *_block_lagrange(upper, phi_mirror))
-    return primary, mirror
+    grids = branch_projector_grids(*_components(kappa))
+    return tuple(
+        BranchModes(name, phi, offset, *(grids[name][key] for key in (
+            "forward", "axis", "backward")))
+        for name, phi, offset in (("primary", phi_primary, 3),
+                                  ("mirror", phi_mirror, 0)))
 
 
 @dataclass(frozen=True)
@@ -310,29 +269,13 @@ def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     helicity_index 0 returns the primary-branch vector (eigenvalue
     exp(-i phase(kappa)), lower block); helicity_index 1 the mirror-branch
     vector (eigenvalue exp(-i mirror_phase(kappa)), upper block).  The two
-    are orthonormal.  Construction: apply the branch's forward projector
-    to that block's canonical basis vectors in order, keep the first image
-    with norm >= 1e-6, normalize, and fix the global phase so the first
-    nonzero component is real positive.
+    are orthonormal.  Construction as in `forward_vector_grids`.
     """
     if helicity_index not in (0, 1):
         raise ArgumentOutOfRangeError("helicity_index must be 0 or 1")
-    primary, mirror = branch_decomposition(kappa)
-    branch = primary if helicity_index == 0 else mirror
-    for col in range(3):
-        v = branch.forward[:, col].copy()
-        nrm = np.linalg.norm(v)
-        if nrm >= 1e-6:
-            v /= nrm
-            for comp in v:
-                if abs(comp) > 1e-9:
-                    v *= comp.conjugate() / abs(comp)
-                    break
-            out = np.zeros(6, dtype=complex)
-            out[branch.offset:branch.offset + 3] = v
-            return out
-    raise DegenerateSpectrumError(
-        "forward projector annihilated every canonical basis vector")
+    _require_nondegenerate(phase(kappa), "phase")
+    _require_nondegenerate(mirror_phase(kappa), "mirror phase")
+    return forward_vector_grids(*_components(kappa), helicity_index)[0]
 
 
 @dataclass(frozen=True)
@@ -465,11 +408,15 @@ def kernel_grid(kx, ky, kz) -> np.ndarray:
     """U(kappa) over broadcast momentum arrays, shape (..., 6, 6)."""
     kx, ky, kz = np.broadcast_arrays(*(np.asarray(a, float) for a in (kx, ky, kz)))
     cx, cy, cz = np.cos(kx), np.cos(ky), np.cos(kz)
-    sx, sy, sz = np.sin(kx), np.sin(ky), np.sin(kz)
-    upper, lower = _rotation_blocks(cx, cy, cz, sx, sy, sz)
     out = np.zeros(kx.shape + (6, 6), dtype=complex)
-    out[..., :3, :3] = upper
-    out[..., 3:, 3:] = lower
+    # upper block: mirror branch; lower: primary, the upper one at -kappa
+    for offset, sign in ((0, 1.0), (3, -1.0)):
+        sx, sy, sz = sign * np.sin(kx), sign * np.sin(ky), sign * np.sin(kz)
+        out[..., offset:offset + 3, offset:offset + 3] = np.stack([
+            np.stack([cy * cz, -cy * sz, sy], axis=-1),
+            np.stack([cz * sx * sy + cx * sz, cx * cz - sx * sy * sz, -cy * sx], axis=-1),
+            np.stack([sx * sz - cx * cz * sy, cz * sx + cx * sy * sz, cx * cy], axis=-1),
+        ], axis=-2)
     return out
 
 
@@ -480,32 +427,96 @@ def branch_projector_grids(kx, ky, kz):
     (...,), 'forward'/'axis'/'backward' (..., 3, 3) acting inside the
     branch's own block, and 'degenerate' (...,) flagging modes where the
     branch angle is within the margin of 0 or pi (projectors NaN there).
+    From `rotation_grids`: n n^T and (I - n n^T +/- i [n]x) / 2.
     """
-    kx, ky, kz = np.broadcast_arrays(*(np.asarray(a, float) for a in (kx, ky, kz)))
-    cx, cy, cz = np.cos(kx), np.cos(ky), np.cos(kz)
-    sx, sy, sz = np.sin(kx), np.sin(ky), np.sin(kz)
-    upper, lower = _rotation_blocks(cx, cy, cz, sx, sy, sz)
-    y_primary, y_mirror = _versine_args(kx, ky, kz)
     out = {}
-    for name, block, y in (("primary", lower, y_primary),
-                           ("mirror", upper, y_mirror)):
-        phi = _arccos_one_minus(y)
-        degenerate = np.minimum(phi, np.pi - phi) < DEGENERACY_MARGIN
-        safe_phi = np.where(degenerate, np.pi / 2.0, phi)
-        em = np.exp(-1j * safe_phi)[..., None, None]
-        ep = np.conj(em)
-        eye = np.eye(3)
-        b = block.astype(complex)
-        forward = (b - eye) @ (b - ep * eye) / ((em - 1.0) * (em - ep))
-        axis = (b - em * eye) @ (b - ep * eye) / ((1.0 - em) * (1.0 - ep))
-        backward = (b - eye) @ (b - em * eye) / ((ep - 1.0) * (ep - em))
-        nan_mask = degenerate[..., None, None]
+    for name, rotation in rotation_grids(kx, ky, kz).items():
+        n = rotation["axis"]
+        axial = n[..., :, None] * n[..., None, :]
+        turn = np.swapaxes(np.cross(n[..., None, :], np.eye(3)), -1, -2)
+        nan_mask = rotation["degenerate"][..., None, None]
         out[name] = {
-            "phase": phi,
-            "forward": np.where(nan_mask, np.nan, forward),
-            "axis": np.where(nan_mask, np.nan, axis),
-            "backward": np.where(nan_mask, np.nan, backward),
-            "degenerate": degenerate,
+            "phase": rotation["phase"],
+            "forward": np.where(nan_mask, np.nan,
+                                0.5 * (np.eye(3) - axial + 1j * turn)),
+            "axis": np.where(nan_mask, np.nan, axial),
+            "backward": np.where(nan_mask, np.nan,
+                                 0.5 * (np.eye(3) - axial - 1j * turn)),
+            "degenerate": rotation["degenerate"],
+        }
+    return out
+
+
+def forward_vector_grids(kx, ky, kz, helicity_index: int = 0):
+    """Forward eigenvectors of one branch over broadcast momenta.
+
+    Returns (vectors (..., 6), degenerate (...,)), rows zero where
+    degenerate: the forward projector applied to the block basis vector
+    least aligned with the axis, normalized, with the first component over
+    1e-9 in modulus made real positive.
+    """
+    name, offset = BRANCHES[helicity_index]
+    rotation = rotation_grids(kx, ky, kz)[name]
+    n, bad = rotation["axis"], rotation["degenerate"]
+    pick = np.argmin(np.abs(n), axis=-1)[..., None]
+    e = (np.arange(3) == pick).astype(float)
+    v = e - n * np.take_along_axis(n, pick, axis=-1) + 1j * np.cross(n, e)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    lead = np.take_along_axis(
+        v, np.argmax(np.abs(v) > 1e-9, axis=-1)[..., None], axis=-1)
+    out = np.zeros(v.shape[:-1] + (6,), dtype=complex)
+    out[..., offset:offset + 3] = np.where(
+        bad[..., None], 0.0, v * (np.conj(lead) / np.abs(lead)))
+    return out, bad
+
+
+def rotation_grids(kx, ky, kz):
+    """Axis-angle form of both rotation blocks over broadcast momenta.
+
+    Returns a dict per branch ('primary', 'mirror') with keys 'axis'
+    (..., 3), the unit rotation axis n; 'phase' (...,), the angle phi in
+    [0, pi]; and 'degenerate' (...,), the angle within the margin of 0 or
+    pi.  The block acts as R^t a = n (n.a) + cos(t phi) (a - n (n.a)) +
+    sin(t phi) n x a; where phi = 0 exactly, n is zero, keeping R^t = I.
+    """
+    kx, ky, kz = (np.asarray(a, float) for a in (kx, ky, kz))
+    cx, cy, cz = np.cos(kx), np.cos(ky), np.cos(kz)
+    out = {}
+    # the primary (lower) block is the mirror (upper) block at -kappa
+    for (name, _), sign, y in zip(BRANCHES, (-1.0, 1.0), _versine_args(kx, ky, kz)):
+        sx, sy, sz = sign * np.sin(kx), sign * np.sin(ky), sign * np.sin(kz)
+        cos_phi = 1.0 - y
+        # off-diagonal entries of the upper block of kernel_grid
+        u01, u02 = -cy * sz, sy
+        u10, u12 = cz * sx * sy + cx * sz, -cy * sx
+        u20, u21 = sx * sz - cx * cz * sy, cz * sx + cx * sy * sz
+        # the antisymmetric part is 2 sin(phi) [n]x; it fixes n to full
+        # precision away from phi = pi
+        w = np.stack(np.broadcast_arrays(u21 - u12, u02 - u20, u10 - u01), axis=-1)
+        w_norm = np.sqrt(np.sum(w * w, axis=-1))
+        # twice the symmetric part minus 2 cos(phi) I is 2 (1 - cos(phi)) n n^T;
+        # its largest column fixes n near phi = pi, signed to agree with w
+        d0 = 2.0 * (cy * cz - cos_phi)
+        d1 = 2.0 * (cx * cz - sx * sy * sz - cos_phi)
+        d2 = 2.0 * (cx * cy - cos_phi)
+        s01, s02, s12 = u01 + u10, u02 + u20, u12 + u21
+        first = (d0 >= d1) & (d0 >= d2)
+        second = ~first & (d1 >= d2)
+        col = np.stack(np.broadcast_arrays(
+            np.where(first, d0, np.where(second, s01, s02)),
+            np.where(first, s01, np.where(second, d1, s12)),
+            np.where(first, s02, np.where(second, s12, d2))), axis=-1)
+        col *= np.where(np.sum(col * w, axis=-1) < 0.0, -1.0, 1.0)[..., None]
+        axis = np.where((y > 1.0)[..., None], col, w)
+        length = np.sqrt(np.sum(axis * axis, axis=-1, keepdims=True))
+        # the same degeneracy test as phase_grid would give; the angle itself
+        # comes from atan2, as arccos(1 - y) loses about 1e-8 near pi
+        arccos_phi = _arccos_one_minus(y)
+        out[name] = {
+            "axis": axis / np.where(length == 0.0, 1.0, length),
+            "phase": np.arctan2(0.5 * w_norm, cos_phi),
+            "degenerate": np.minimum(arccos_phi, np.pi - arccos_phi)
+            < DEGENERACY_MARGIN,
         }
     return out
 

@@ -8,8 +8,10 @@ reduced momentum kappa = 2 pi m / n wrapped into (-pi, pi].
 
 One walk step shifts the plus/zero/minus projector components of each
 axis by +1/0/-1 sites, applying the axis factors in the order z, then y,
-then x; in momentum space the same step is the per-mode unitary
-`kernel.kernel_grid`.  Both routes are implemented and agree to rounding.
+then x.  In momentum space t steps turn each 3-component block of every
+mode by t times its angle about its own axis (`kernel.rotation_grids`).
+Both routes are implemented and agree to rounding.  Centroids are read in
+momentum space, from overlaps of the amplitudes with their one-mode shifts.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from .errors import (
     UndefinedCentroidError,
 )
 from .kernel import (
+    BRANCHES,
     GroupVelocity,
     ReducedMomentum,
-    branch_projector_grids,
-    kernel_grid,
+    forward_vector_grids,
     positive_energy_vector,
+    rotation_grids,
     velocity_grid,
 )
 
@@ -61,8 +64,9 @@ class Lattice:
         return 2.0 * np.pi * wrapped / self.n
 
     def mode_grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mode values shaped (n,1,1), (1,n,1), (1,1,n); they broadcast."""
         k = self.mode_values()
-        return tuple(np.meshgrid(k, k, k, indexing="ij"))
+        return tuple(np.meshgrid(k, k, k, indexing="ij", sparse=True))
 
 
 @dataclass
@@ -86,9 +90,6 @@ class LatticeState:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.lattice, self.basis, self.amplitudes.copy())
 
 
 def random_state(lattice: Lattice, rng: np.random.Generator,
@@ -178,38 +179,6 @@ def _validate_against_lattice(lattice: Lattice, spec: WavePacketSpec) -> None:
                 f"gaussian sigma {spec.width} outside [{lo:.6g}, {hi:.6g}] for n={n}")
 
 
-def _per_mode_vectors(kx, ky, kz, helicity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Forward eigenvectors per mode, phase-fixed; returns (vectors, bad).
-
-    vectors has shape kx.shape + (6,); bad flags degenerate modes whose
-    vector is undefined (their rows are zero).
-    """
-    branch = branch_projector_grids(kx, ky, kz)[
-        "primary" if helicity == 0 else "mirror"]
-    fwd = branch["forward"]
-    bad = branch["degenerate"]
-    norms = np.linalg.norm(np.where(bad[..., None, None], 0.0, fwd), axis=-2)
-    col = np.argmax(norms >= 1e-6, axis=-1)
-    v = np.take_along_axis(fwd, col[..., None, None], axis=-1)[..., 0]
-    v = np.where(bad[..., None], 0.0, v)
-    nrm = np.linalg.norm(v, axis=-1)
-    v = v / np.where(nrm == 0.0, 1.0, nrm)[..., None]
-    # global phase: first component over threshold becomes real positive
-    pick = np.zeros(v.shape[:-1], dtype=complex)
-    chosen = np.zeros(v.shape[:-1], dtype=bool)
-    for i in range(3):
-        take = (~chosen) & (np.abs(v[..., i]) > 1e-9)
-        pick = np.where(take, v[..., i], pick)
-        chosen |= take
-    rot = np.where(chosen, np.conj(pick) / np.where(chosen, np.abs(pick), 1.0), 1.0)
-    v = v * rot[..., None]
-    out_shape = v.shape[:-1] + (6,)
-    out = np.zeros(out_shape, dtype=complex)
-    offset = 3 if helicity == 0 else 0
-    out[..., offset:offset + 3] = v
-    return out, bad
-
-
 def make_wavepacket(lattice: Lattice, spec: WavePacketSpec) -> LatticeState:
     """Construct the packet in the momentum basis, exactly normalized."""
     _validate_against_lattice(lattice, spec)
@@ -235,11 +204,9 @@ def make_wavepacket(lattice: Lattice, spec: WavePacketSpec) -> LatticeState:
     plane = np.exp(-1j * (kxg * x0[0] + kyg * x0[1] + kzg * x0[2]))
 
     if spec.per_mode_internal:
-        vectors, bad = _per_mode_vectors(kxg, kyg, kzg, spec.helicity)
+        # modes with no forward eigenvector get a zero vector
+        vectors, _ = forward_vector_grids(kxg, kyg, kzg, spec.helicity)
         amp = (weights * plane)[..., None] * vectors
-        if np.any(bad & (weights > 0)):
-            # modes with no forward eigenvector carry no amplitude
-            amp[bad] = 0.0
     else:
         u = positive_energy_vector(k0, spec.helicity)
         amp = (weights * plane)[..., None] * u
@@ -255,39 +222,48 @@ def _wrap_delta_values(d: np.ndarray) -> np.ndarray:
     return (d + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _matrix_power_grid(u: np.ndarray, steps: int) -> np.ndarray:
-    """Binary-exponentiation power of a grid of 6x6 matrices."""
-    result = None
-    base = u
-    s = steps
-    while s > 0:
-        if s & 1:
-            result = base.copy() if result is None else base @ result
-        base = base @ base if s > 1 else base
-        s >>= 1
-    if result is None:
-        eye = np.zeros_like(u)
-        eye[...] = np.eye(6)
-        return eye
-    return result
+def _rotation_parts(lattice: Lattice, amp: np.ndarray) -> list:
+    """Per block of momentum amplitudes amp: (offset, phi, degenerate,
+    axial, perpendicular, turned), split about the rotation axis n: axial =
+    n (n.a) never moves, perpendicular = a - axial, turned = n x a."""
+    rotations = rotation_grids(*lattice.mode_grids())
+    parts = []
+    for name, offset in BRANCHES:
+        axis = rotations[name]["axis"]
+        block = amp[..., offset:offset + 3]
+        axial = np.sum(axis * block, axis=-1, keepdims=True) * axis
+        perpendicular = block - axial
+        parts.append((offset, rotations[name]["phase"],
+                      rotations[name]["degenerate"], axial, perpendicular,
+                      np.cross(axis, perpendicular)))
+    return parts
+
+
+def _rotated_block(part, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
+    """One block turned by the per-mode angle with this cosine and sine."""
+    _, _, _, axial, perpendicular, turned = part
+    out = perpendicular * cos_t[..., None]
+    out += turned * sin_t[..., None]
+    out += axial
+    return out
 
 
 def evolve_spectral(state: LatticeState, steps: int) -> LatticeState:
-    """Advance `steps` walk steps by per-mode unitaries in momentum space.
+    """Advance `steps` walk steps by per-mode rotations in momentum space.
 
-    Accepts either basis and returns the same basis it was given.
+    Each block of each mode turns by `steps` times its angle in one
+    evaluation.  Accepts either basis and returns the same basis.
     """
     if steps < 0 or int(steps) != steps:
         raise ValueError(f"steps must be a nonnegative integer, got {steps}")
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
-    if steps == 0:
-        out = work.copy()
-    else:
-        u = kernel_grid(*state.lattice.mode_grids())
-        u_pow = _matrix_power_grid(u, steps)
-        amp = np.einsum("xyzab,xyzb->xyza", u_pow, work.amplitudes)
-        out = LatticeState(state.lattice, MOMENTUM, amp)
+    amp = np.empty_like(work.amplitudes)
+    for part in _rotation_parts(state.lattice, work.amplitudes):
+        offset, phi = part[:2]
+        amp[..., offset:offset + 3] = _rotated_block(
+            part, np.cos(steps * phi), np.sin(steps * phi))
+    out = LatticeState(state.lattice, MOMENTUM, amp)
     return to_position(out) if came_from_position else out
 
 
@@ -319,23 +295,21 @@ def evolve_direct(state: LatticeState, steps: int) -> LatticeState:
     return to_momentum(out) if came_from_momentum else out
 
 
-def _circular_stats(state: LatticeState):
-    """Per-axis circular mean, spread, and resultant of the site probability."""
-    n = state.lattice.n
-    p = np.sum(np.abs(state.amplitudes) ** 2, axis=-1)
-    total = p.sum()
-    angles = 2.0 * np.pi * np.arange(n) / n
-    phasor = np.exp(1j * angles)
-    centroids = np.empty(3)
-    spreads = np.empty(3)
-    resultants = np.empty(3)
-    for axis in range(3):
-        marginal = p.sum(axis=tuple(a for a in range(3) if a != axis)) / total
-        z = np.sum(marginal * phasor)
-        r = min(abs(z), 1.0)
-        resultants[axis] = r
-        centroids[axis] = (np.angle(z) * n / (2.0 * np.pi)) % n
-        spreads[axis] = (n / (2.0 * np.pi)) * math.sqrt(max(-2.0 * math.log(max(r, 1e-300)), 0.0))
+def _shifted_overlaps(amp: np.ndarray) -> np.ndarray:
+    """Per axis, sum over modes m of conj(amp[m]) amp[m - 1]: for momentum
+    amplitudes, the site-probability phasor sum_x |psi(x)|^2 exp(2 pi i x/n).
+    """
+    return np.array([np.vdot(amp, np.roll(amp, 1, axis)) for axis in range(3)])
+
+
+def _circular_stats(overlaps: np.ndarray, weight: float, n: int):
+    """Per-axis circular mean, spread, and resultant; weight is the total
+    probability the overlaps were summed over."""
+    z = overlaps / weight
+    resultants = np.minimum(np.abs(z), 1.0)
+    centroids = (np.angle(z) * n / (2.0 * np.pi)) % n
+    spreads = (n / (2.0 * np.pi)) * np.sqrt(np.maximum(
+        -2.0 * np.log(np.maximum(resultants, 1e-300)), 0.0))
     return centroids, spreads, resultants
 
 
@@ -343,7 +317,9 @@ def centroid(state: LatticeState) -> np.ndarray:
     """Circular-mean position of the site probability, in [0, n) per axis."""
     if state.basis != POSITION:
         raise BasisMismatchError("centroid expects a position-basis state")
-    centroids, _, resultants = _circular_stats(state)
+    amp = to_momentum(state).amplitudes
+    centroids, _, resultants = _circular_stats(
+        _shifted_overlaps(amp), np.vdot(amp, amp).real, state.lattice.n)
     if np.any(resultants < 1e-6):
         raise UndefinedCentroidError(
             f"circular resultant {resultants.min():.3g} too small along an axis")
@@ -371,11 +347,14 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
                            steps: int, sample_every: int = 1) -> MeasuredVelocity:
     """Propagate a packet and fit its centroid drift per step.
 
-    The packet evolves spectrally; every `sample_every` steps the centroid
-    is recorded, unwrapped against the previous sample (valid because the
-    per-sample displacement is below n/2 sites), and a least-squares line
-    per axis gives the velocity.  fit_residual is the RMS of the fit
-    residuals over all samples and axes, in sites.
+    The packet stays in momentum space: every `sample_every` steps each
+    block of each mode is evaluated as a rotation by the elapsed multiple
+    of its angle, and the centroid is read from shifted-mode overlaps, so
+    no Fourier transform and no 6x6 matrix is formed.  The centroid is
+    unwrapped against the previous sample (valid because the per-sample
+    displacement is below n/2 sites), and a least-squares line per axis
+    gives the velocity.  fit_residual is the RMS of the fit residuals over
+    all samples and axes, in sites.
     """
     if sample_every < 1 or int(sample_every) != sample_every:
         raise ValueError(f"sample_every must be a positive integer, got {sample_every}")
@@ -385,43 +364,36 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     if steps < sample_every:
         raise ValueError("need at least one sampling interval")
 
-    state = make_wavepacket(lattice, spec)
-    u = kernel_grid(*lattice.mode_grids())
-    u_sample = _matrix_power_grid(u, sample_every)
+    parts = _rotation_parts(lattice, make_wavepacket(lattice, spec).amplitudes)
+    # per block, exp(i t phi) at the current sample t and its step per sample
+    phasors = [np.ones_like(part[1], dtype=complex) for part in parts]
+    advances = [np.exp(1j * sample_every * part[1]) for part in parts]
 
     sample_steps = list(range(0, steps + 1, sample_every))
-    positions = np.empty((len(sample_steps), 3))
-    spreads = np.empty((len(sample_steps), 3))
-    norms = np.empty(len(sample_steps))
-
-    amp = state.amplitudes
-    for i, _ in enumerate(sample_steps):
-        snapshot = LatticeState(lattice, MOMENTUM, amp)
-        pos_state = to_position(snapshot)
-        c, s, r = _circular_stats(pos_state)
+    samples = []
+    for _ in sample_steps:
+        overlaps = np.zeros(3, dtype=complex)
+        weight = 0.0
+        for part, phasor, advance in zip(parts, phasors, advances):
+            block = _rotated_block(part, phasor.real, phasor.imag)
+            overlaps += _shifted_overlaps(block)
+            weight += np.vdot(block, block).real
+            phasor *= advance
+        c, s, r = _circular_stats(overlaps, weight, lattice.n)
         if np.any(r < 1e-6):
             raise UndefinedCentroidError(
                 "packet spread out too far for a defined centroid")
-        positions[i] = c
-        spreads[i] = s
-        norms[i] = snapshot.norm()
-        if i + 1 < len(sample_steps):
-            amp = np.einsum("xyzab,xyzb->xyza", u_sample, amp)
+        samples.append((c, s, math.sqrt(weight)))
+    positions, spreads, norms = (np.array(v) for v in zip(*samples))
 
     n = lattice.n
-    unwrapped = positions.copy()
-    for i in range(1, len(sample_steps)):
-        delta = (positions[i] - positions[i - 1] + n / 2) % n - n / 2
-        unwrapped[i] = unwrapped[i - 1] + delta
+    deltas = (np.diff(positions, axis=0) + n / 2) % n - n / 2
+    unwrapped = positions[0] + np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)])
 
     t = np.asarray(sample_steps, dtype=float)
-    slopes = np.empty(3)
-    residuals = []
-    for axis in range(3):
-        coeffs = np.polyfit(t, unwrapped[:, axis], 1)
-        slopes[axis] = coeffs[0]
-        residuals.append(unwrapped[:, axis] - np.polyval(coeffs, t))
-    fit_residual = float(np.sqrt(np.mean(np.concatenate(residuals) ** 2)))
+    slopes, intercepts = np.polyfit(t, unwrapped, 1)
+    residuals = unwrapped - (t[:, None] * slopes + intercepts)
+    fit_residual = float(np.sqrt(np.mean(residuals ** 2)))
 
     trajectory = CentroidTrajectory(
         steps=np.asarray(sample_steps), positions=unwrapped,
@@ -442,12 +414,11 @@ def project_to_branch(state: LatticeState, helicity: int = 0) -> LatticeState:
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
     lattice = state.lattice
-    branch = branch_projector_grids(*lattice.mode_grids())[
-        "primary" if helicity == 0 else "mirror"]
-    offset = 3 if helicity == 0 else 0
-    block = np.einsum("xyzab,xyzb->xyza", branch["forward"],
-                      work.amplitudes[..., offset:offset + 3])
-    block[branch["degenerate"]] = 0.0
+    offset, _, degenerate, _, perpendicular, turned = _rotation_parts(
+        lattice, work.amplitudes)[helicity]
+    # forward projector (a - n (n.a) + i n x a) / 2
+    block = 0.5 * (perpendicular + 1j * turned)
+    block[degenerate] = 0.0
     amp = np.zeros_like(work.amplitudes)
     amp[..., offset:offset + 3] = block
     nrm = np.sqrt(np.sum(np.abs(amp) ** 2))
@@ -466,28 +437,21 @@ def predicted_state_velocity(state: LatticeState) -> np.ndarray:
     modes not at all.  Degenerate modes are excluded from the sum.
     """
     work = to_momentum(state) if state.basis == POSITION else state
-    lattice = state.lattice
-    kx, ky, kz = lattice.mode_grids()
-    branches = branch_projector_grids(kx, ky, kz)
-
-    vxp, vyp, vzp, _, _ = velocity_grid(kx, ky, kz)
-    vxm, vym, vzm, _, _ = velocity_grid(-kx, -ky, -kz)
-    v_primary = np.stack([vxp, vyp, vzp], axis=-1)
+    kx, ky, kz = state.lattice.mode_grids()
+    v_primary = np.stack(velocity_grid(kx, ky, kz)[:3], axis=-1)
     # the mirror phase at kappa equals the primary phase at -kappa
-    v_mirror = -np.stack([vxm, vym, vzm], axis=-1)
+    v_mirror = -np.stack(velocity_grid(-kx, -ky, -kz)[:3], axis=-1)
 
-    amp = work.amplitudes
     total = np.zeros(3)
-    for name, v_branch, offset in (("primary", v_primary, 3), ("mirror", v_mirror, 0)):
-        b = branches[name]
-        block = amp[..., offset:offset + 3]
-        usable = ~(b["degenerate"] | np.isnan(v_branch).any(axis=-1))
-        v_safe = np.where(usable[..., None], v_branch, 0.0)
-        for mode_key, sign in (("forward", 1.0), ("backward", -1.0)):
-            w = np.real(np.einsum("xyza,xyzab,xyzb->xyz",
-                                  block.conj(), b[mode_key], block))
-            w = np.where(usable, w, 0.0)
-            total += sign * np.einsum("xyz,xyzc->c", w, v_safe)
+    parts = _rotation_parts(state.lattice, work.amplitudes)
+    for part, v_branch in zip(parts, (v_primary, v_mirror)):
+        _, _, degenerate, _, perpendicular, turned = part
+        usable = ~(degenerate | np.isnan(v_branch).any(axis=-1))
+        # forward minus backward weight Re(i a^dagger (n x a)); n x a is
+        # orthogonal to the axial part
+        w = -np.imag(np.sum(perpendicular.conj() * turned, axis=-1))
+        total += np.einsum("xyz,xyzc->c", np.where(usable, w, 0.0),
+                           np.where(usable[..., None], v_branch, 0.0))
     return total
 
 

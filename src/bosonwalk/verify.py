@@ -2,8 +2,8 @@
 
 Each check recomputes one contract from scratch and reports its worst
 residual against a fixed tolerance.  The suite backs the command-line
-`verify` subcommand and is deliberately cheap: a full run takes a few
-seconds, so it can gate installs and CI jobs.
+`verify` subcommand and is deliberately cheap: a full run takes well under
+a second on a 2-core machine, so it can gate installs and CI jobs.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from bosonwalk.bounds import (
     run_catalog,
     time_lag,
 )
+from bosonwalk.cli import main as cli_main
 from bosonwalk.errors import (
     ArgumentOutOfRangeError,
     CatalogParseError,
@@ -294,6 +295,24 @@ def test_load_rejects_negative_bound(tmp_path):
         "e_qg_lower_bound": -1e20, "liv_order": 1, "sign": 1}])
     with pytest.raises(CatalogValidationError, match="positive"):
         load_experiments(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("record", [
+    {"id": "x", "kind": "dispersion", "source": "t",
+     "e_qg_lower_bound": 1e20, "liv_order": 1, "sign": 1},
+    {"id": "x", "kind": "anisotropy", "source": "t",
+     "delta_c_over_c": 1e-18, "wavelength": 1e-6},
+])
+def test_load_rejects_non_finite_numbers(tmp_path, record, value):
+    # NaN compares false against every bound, and infinity gave a 0 m bound
+    for field in ("e_qg_lower_bound", "delta_c_over_c", "wavelength"):
+        if field not in record:
+            continue
+        path = write_catalog(tmp_path, [{**record, field: value}])
+        with pytest.raises(CatalogValidationError, match="finite"):
+            load_experiments(path)
+        assert cli_main(["bounds", "--experiments", str(path)]) == 2
 
 
 def test_load_rejects_duplicate_ids(tmp_path):

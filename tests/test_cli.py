@@ -159,6 +159,32 @@ def test_propagate_degenerate_momentum_is_numerical_error(tmp_path):
     assert run_cli("propagate", "--packet", packet) == 4
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value", [
+    ("x0", [8.5, 8, 8]),
+    ("steps", 4.7),
+    ("helicity", True),
+    ("k0", [float("nan"), 0.0, 0.0]),
+])
+def test_propagate_refuses_numbers_it_would_coerce(tmp_path, capsys,
+                                                   field, value):
+    # each of these used to be truncated, cast, or to end in a numpy warning
+    packet = write_packet(tmp_path, **{field: value})
+    assert run_cli("propagate", "--packet", packet) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0]
+
+
+def test_propagate_accepts_integral_floats(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli("propagate", "--packet", write_packet(tmp_path),
+                   "--out", str(a)) == 0
+    packet = write_packet(tmp_path, x0=[8.0, 8.0, 8.0], steps=6.0, n=16.0,
+                          helicity=0.0, sample_every=1.0)
+    assert run_cli("propagate", "--packet", packet, "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 # --------------------------------------------------------------- anisotropy
 
 def test_anisotropy_map_csv(tmp_path):

@@ -1,7 +1,11 @@
 """Lattice states, wave packets, evolution routes, centroid tracking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonwalk.errors import (
     BasisMismatchError,
@@ -11,6 +15,7 @@ from bosonwalk.errors import (
 from bosonwalk.kernel import (
     ReducedMomentum,
     group_velocity_analytic,
+    mirror_phase_grid,
     phase,
     phase_grid,
     positive_energy_vector,
@@ -33,6 +38,7 @@ from bosonwalk.lattice import (
     to_momentum,
     to_position,
 )
+from bosonwalk.lattice import _shifted_overlaps
 
 
 def delta_state(lattice, site, component=0):
@@ -255,7 +261,6 @@ def test_project_to_branch_yields_eigenmode_mixture():
     proj = project_to_branch(st, helicity=1)
     assert np.isclose(proj.norm(), 1.0, atol=1e-12)
     ev = evolve_spectral(proj, 1)
-    from bosonwalk.kernel import mirror_phase_grid
     ph = mirror_phase_grid(*lat.mode_grids())
     expected = np.exp(-1j * ph)[..., None] * proj.amplitudes
     np.testing.assert_allclose(ev.amplitudes, expected, atol=1e-11)
@@ -324,6 +329,52 @@ def test_single_mode_evolves_by_phase():
     np.testing.assert_allclose(ev.amplitudes, expected, atol=1e-12)
 
 
+@st.composite
+def small_states(draw):
+    """Random momentum-basis states on n in {4, 6, 8}, some of them
+    supported only on modes whose block angles are exactly 0 or pi, such as
+    kappa = (pi, 0, 0) and (0, k, pi), where the rotation axis is hardest
+    to read."""
+    lat = Lattice(draw(st.sampled_from([4, 6, 8])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = random_state(lat, rng, basis="momentum").amplitudes
+    if draw(st.booleans()):
+        grids = lat.mode_grids()
+        edge = np.ones((lat.n,) * 3, dtype=bool)
+        for ph in (phase_grid(*grids), mirror_phase_grid(*grids)):
+            edge &= np.minimum(ph, np.pi - ph) < 1e-6
+        amp = np.where(edge[..., None], amp, 0.0)
+        amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
+    return LatticeState(lat, "momentum", amp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=small_states(), steps=st.integers(0, 12))
+def test_property_spectral_matches_direct(state, steps):
+    a = evolve_spectral(state, steps).amplitudes
+    b = evolve_direct(state, steps).amplitudes
+    assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=small_states(), steps=st.integers(0, 12))
+def test_property_spectral_conserves_norm(state, steps):
+    assert abs(evolve_spectral(state, steps).norm() - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=small_states(), steps=st.integers(0, 12))
+def test_property_momentum_phasor_matches_position_marginal(state, steps):
+    evolved = evolve_spectral(state, steps)
+    n = state.lattice.n
+    p = np.sum(np.abs(to_position(evolved).amplitudes) ** 2, axis=-1)
+    phasor = np.exp(2j * np.pi * np.arange(n) / n)
+    got = _shifted_overlaps(evolved.amplitudes)
+    for axis in range(3):
+        marginal = p.sum(axis=tuple(a for a in range(3) if a != axis))
+        assert abs(got[axis] - np.sum(marginal * phasor)) <= 1e-12
+
+
 # ---------------------------------------------------------------- centroid
 
 def test_centroid_of_delta_state():
@@ -388,6 +439,22 @@ def test_exact_drift_law_for_branch_projected_packet():
     m0 = linear_mean(to_position(st))
     m8 = linear_mean(to_position(evolve_spectral(st, 8)))
     np.testing.assert_allclose((m8 - m0) / 8, pred, atol=5e-4)
+
+
+def test_measure_velocity_memory_stays_near_packet_size():
+    # the rotation route keeps a few copies of the packet, never a grid of
+    # 6x6 matrices, which alone is six times the packet
+    lat = Lattice(32)
+    k = 0.4 / np.sqrt(3.0)
+    spec = WavePacketSpec("gaussian", (k, k, k), (16, 16, 16), np.pi / 8)
+    packet_bytes = make_wavepacket(lat, spec).amplitudes.nbytes
+    tracemalloc.start()
+    try:
+        measure_group_velocity(lat, spec, steps=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * packet_bytes
 
 
 def test_trajectory_unwraps_across_boundary():
