@@ -188,6 +188,9 @@ def sphere_stats(n_theta: int = 64, n_phi: int = 64) -> SphereStats:
 
 def anisotropy_map(n_theta: int, n_phi: int):
     """Grid of (theta, phi, s) rows for export, theta-major order."""
+    if n_theta < 1 or n_phi < 1:
+        raise ArgumentOutOfRangeError(
+            f"need n_theta, n_phi >= 1, got {n_theta}, {n_phi}")
     theta = np.linspace(0.0, math.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     tg, pg = np.meshgrid(theta, phi, indexing="ij")

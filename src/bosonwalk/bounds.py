@@ -264,8 +264,13 @@ def _parse_record(item, index: int) -> ExperimentRecord:
         if isinstance(value, bool) or not isinstance(value, expected):
             raise CatalogParseError(
                 f"{where}: field {key!r} has wrong type {type(value).__name__}")
-        kwargs[key] = float(value) if key in (
-            "e_qg_lower_bound", "delta_c_over_c", "wavelength") else value
+        if key in ("e_qg_lower_bound", "delta_c_over_c", "wavelength"):
+            try:
+                value = float(value)
+            except OverflowError:
+                raise CatalogParseError(
+                    f"{where}: field {key!r} is too large for a float") from None
+        kwargs[key] = value
     return ExperimentRecord(**kwargs)
 
 

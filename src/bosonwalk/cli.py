@@ -4,7 +4,8 @@ Subcommands: surface (dispersion export), propagate (packet drift),
 anisotropy (direction map and stats), bounds (constraint catalog), and
 verify (invariant suite).  Long-form flags only; CSV numbers carry 17
 significant digits; outputs are byte-identical for a given configuration
-and seed regardless of thread count.
+and seed.  --threads is accepted for compatibility and has no effect;
+surface export runs single-threaded.
 
 Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 3 I/O failure, 4 numerical failure (degenerate spectrum and similar).
@@ -13,12 +14,13 @@ Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -86,16 +88,16 @@ def _version_text() -> str:
     return "\n".join(lines)
 
 
-def _write_output(path, text: str) -> None:
-    """Atomically replace `path` with `text`; stdout when path is None."""
+def _write_output(path, chunks) -> None:
+    """Atomically replace `path` with the text chunks; stdout when None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bosonwalk-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -107,63 +109,58 @@ def _write_output(path, text: str) -> None:
 
 # ------------------------------------------------------------------ surface
 
-def _surface_slab(axis_vals: np.ndarray, i: int) -> str:
-    """CSV rows for the kx = axis_vals[i] slab, lexicographic in (ky, kz)."""
-    m = axis_vals.size
-    ky, kz = np.meshgrid(axis_vals, axis_vals, indexing="ij")
-    ky, kz = ky.ravel(), kz.ravel()
-    kx = np.full_like(ky, axis_vals[i])
-    phi = kernel.phase_grid(kx, ky, kz)
-    vx, vy, vz, speed, degenerate = kernel.velocity_grid(kx, ky, kz)
-    rows = []
-    for j in range(m * m):
-        head = f"{_fmt(kx[j])},{_fmt(ky[j])},{_fmt(kz[j])},{_fmt(phi[j])}"
-        if degenerate[j]:
-            rows.append(head + ",,,,,1")
-        else:
-            rows.append(f"{head},{_fmt(vx[j])},{_fmt(vy[j])},{_fmt(vz[j])},"
-                        f"{_fmt(speed[j])},0")
-    return "\n".join(rows)
+def _surface_chunks(m: int, fmt: str):
+    """The surface text in chunks: the head, then the rows of each kx slab.
 
+    Each distinct float is formatted once, the phase and velocity values
+    told apart by bit pattern so that 0.0 and -0.0 keep their own text;
+    every cell is an index into those strings.
+    """
+    values = ("phase", "vx", "vy", "vz", "speed")
+    if fmt == "csv":
+        keys = ("kx", "ky", "kz", *values, "degenerate")
+        number, blank, flags = "{:.17g}".format, "", ["0", "1"]
+        head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
+        row = ",".join(["%s"] * len(keys))
+    else:  # the text of json.dumps(rows, indent=2): floats as float.__repr__
+        keys = ("kx", "ky", "kz", "phase", "degenerate", "vx", "vy", "vz",
+                "speed")
+        number, blank, flags = float.__repr__, "null", ["false", "true"]
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+        row = "  {\n" + ",\n".join(f'    "{k}": %s' for k in keys) + "\n  }"
 
-def _surface_rows_json(axis_vals: np.ndarray) -> list:
-    kx, ky, kz = np.meshgrid(axis_vals, axis_vals, axis_vals, indexing="ij")
-    kx, ky, kz = kx.ravel(), ky.ravel(), kz.ravel()
-    phi = kernel.phase_grid(kx, ky, kz)
-    vx, vy, vz, speed, degenerate = kernel.velocity_grid(kx, ky, kz)
-    rows = []
-    for j in range(kx.size):
-        row = {"kx": float(kx[j]), "ky": float(ky[j]), "kz": float(kz[j]),
-               "phase": float(phi[j]), "degenerate": bool(degenerate[j])}
-        if degenerate[j]:
-            row.update(vx=None, vy=None, vz=None, speed=None)
-        else:
-            row.update(vx=float(vx[j]), vy=float(vy[j]), vz=float(vz[j]),
-                       speed=float(speed[j]))
-        rows.append(row)
-    return rows
+    table = kernel.surface_table(m)
+    axis, degenerate = table["kz"][:m].copy(), table["degenerate"]
+    bits = np.stack([table[k] for k in values]).view(np.int64)
+    del table  # np.unique holds about six copies of bits at its peak
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    # strings: the axis values, the distinct values, the blank, the flags
+    numbers = np.concatenate([axis, distinct.view(np.float64)])
+    strings = np.array(list(map(number, numbers.tolist())) + [blank] + flags,
+                       dtype=object)
+    inverse = inverse.reshape(bits.shape) + m
+    inverse[1:, degenerate] = numbers.size
+    index = dict(zip(("kx", "ky", "kz"), np.indices((m, m, m)).reshape(3, -1)))
+    index.update(zip(values, inverse))
+    index["degenerate"] = numbers.size + 1 + degenerate
+    columns = [index[k] for k in keys]
+
+    yield head
+    rows = np.empty((m * m, 2 * len(keys) + 1), dtype=object)
+    rows[:, 0::2] = (row + sep).split("%s")  # the text around the cells
+    for start in range(0, m**3, m * m):
+        rows[:, 1::2] = strings[np.stack(
+            [c[start:start + m * m] for c in columns], axis=1)]
+        if start + m * m == m**3:
+            rows[-1, -1] = row.split("%s")[-1] + tail
+        yield "".join(rows.ravel().tolist())
 
 
 def cmd_surface(args) -> int:
     m = args.grid
     if not 2 <= m <= 512:
         raise ArgumentOutOfRangeError(f"--grid {m} outside [2, 512]")
-    axis_vals = np.linspace(-math.pi, math.pi, m)
-    if args.format == "csv":
-        workers = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-        # one slab per kx value; assembly order is fixed, so the byte
-        # stream does not depend on the worker count
-        if workers == 1:
-            slabs = [_surface_slab(axis_vals, i) for i in range(m)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                slabs = list(pool.map(
-                    lambda i: _surface_slab(axis_vals, i), range(m)))
-        text = "kx,ky,kz,phase,vx,vy,vz,speed,degenerate\n"
-        text += "\n".join(slabs) + "\n"
-    else:
-        text = json.dumps(_surface_rows_json(axis_vals), indent=2) + "\n"
-    _write_output(args.out, text)
+    _write_output(args.out, _surface_chunks(m, args.format))
     return EXIT_OK
 
 
@@ -250,7 +247,7 @@ def cmd_propagate(args) -> int:
             "final_spread": list(measured.trajectory.spreads[-1]),
         }
         text = json.dumps(summary, indent=2) + "\n"
-    _write_output(args.out, text)
+    _write_output(args.out, [text])
     return EXIT_OK
 
 
@@ -280,7 +277,7 @@ def cmd_anisotropy(args) -> int:
             "n_phi": st.n_phi,
         }
         text = json.dumps(payload, indent=2) + "\n"
-    _write_output(args.out, text)
+    _write_output(args.out, [text])
     return EXIT_OK
 
 
@@ -292,17 +289,17 @@ def cmd_bounds(args) -> int:
     options = CatalogOptions(paper_compat=args.paper_compat)
     entries = run_catalog(records, PhysicalConstants(), options)
     if args.format == "csv":
-        lines = ["id,kind,delta_x_m,ratio_to_planck,normalization"]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["id", "kind", "delta_x_m", "ratio_to_planck",
+                         "normalization"])
         for e in entries:
-            kind = e.inputs_echo["record"]["kind"]
-            if isinstance(e, BoundResult):
-                lines.append(f"{e.experiment_id},{kind},"
-                             f"{_fmt(e.delta_x_upper_bound)},"
-                             f"{_fmt(e.ratio_to_planck)},{e.normalization_used}")
-            else:
-                note = f'"{e.note}"' if "," in e.note else e.note
-                lines.append(f"{e.experiment_id},{kind},,,{note}")
-        text = "\n".join(lines) + "\n"
+            bound = ([_fmt(e.delta_x_upper_bound), _fmt(e.ratio_to_planck),
+                      e.normalization_used] if isinstance(e, BoundResult)
+                     else ["", "", e.note])
+            writer.writerow([e.experiment_id, e.inputs_echo["record"]["kind"],
+                             *bound])
+        text = buffer.getvalue()
     else:
         payload = []
         for e in entries:
@@ -324,7 +321,7 @@ def cmd_bounds(args) -> int:
                     "inputs_echo": e.inputs_echo,
                 })
         text = json.dumps(payload, indent=2) + "\n"
-    _write_output(args.out, text)
+    _write_output(args.out, [text])
     return EXIT_OK
 
 
@@ -353,10 +350,10 @@ def cmd_verify(args) -> int:
                         "residual": c.residual, "tolerance": c.tolerance,
                         "detail": c.detail} for c in report.checks],
         }
-        _write_output(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_output(args.out, [json.dumps(payload, indent=2) + "\n"])
         sys.stdout.write(text)
     else:
-        _write_output(args.out, text)
+        _write_output(args.out, [text])
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -367,7 +364,7 @@ def _add_common(sub, *, fmt_default="csv"):
                      help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=fmt_default)
     sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="worker cap, 0 = auto (default: 1)")
+                     help="accepted for compatibility; single-threaded")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for any sampling (default: 0)")
 

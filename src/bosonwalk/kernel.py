@@ -295,35 +295,25 @@ class GroupVelocity:
 
 
 def group_velocity_analytic(kappa) -> GroupVelocity:
-    """Gradient of phase(kappa) in closed form.
+    """Gradient of phase(kappa) in closed form: `velocity_grid` at one point.
 
     Exactly (sign(k), 0, 0) and unit speed for axis-aligned momenta.
     Raises DegenerateSpectrumError where the dispersion cone is singular.
     """
     kx, ky, kz = _components(kappa)
-    cx, cy, cz = math.cos(kx), math.cos(ky), math.cos(kz)
-    sx, sy, sz = math.sin(kx), math.sin(ky), math.sin(kz)
-    # 2 sin(phase) in versine form; the equivalent 4 - arg^2 cancels badly
-    # near the cone tip
-    y, _ = _versine_args(kx, ky, kz)
-    den_sq = 4.0 * float(y) * (2.0 - float(y))
-    if den_sq < DEGENERACY_MARGIN**2:
+    vx, vy, vz, _, degenerate = velocity_grid(kx, ky, kz)
+    if degenerate:
         raise DegenerateSpectrumError(
-            f"group velocity undefined: 4 sin^2(phase) = {den_sq!r} "
-            "at the band edge")
+            f"group velocity undefined: 4 sin^2(phase) < {DEGENERACY_MARGIN**2}"
+            " at the band edge")
     zeros = [c == 0.0 for c in (kx, ky, kz)]
     if sum(zeros) == 2:
         # along an axis the gradient is exactly the signed unit vector
         comps = [0.0, 0.0, 0.0]
         axis = zeros.index(False)
-        comps[axis] = math.copysign(1.0, (sx, sy, sz)[axis])
+        comps[axis] = math.copysign(1.0, math.sin((kx, ky, kz)[axis]))
         return GroupVelocity(*comps)
-    den = math.sqrt(den_sq)
-    return GroupVelocity(
-        vx=(sx * (cy + cz) - cx * sy * sz) / den,
-        vy=(sy * (cx + cz) - sx * cy * sz) / den,
-        vz=(sz * (cx + cy) - sx * sy * cz) / den,
-    )
+    return GroupVelocity(float(vx), float(vy), float(vz))
 
 
 def group_velocity_numeric(kappa, step: float = 1e-6) -> GroupVelocity:
@@ -393,6 +383,8 @@ def velocity_grid(kx, ky, kz):
     kx, ky, kz = (np.asarray(a, dtype=float) for a in (kx, ky, kz))
     cx, cy, cz = np.cos(kx), np.cos(ky), np.cos(kz)
     sx, sy, sz = np.sin(kx), np.sin(ky), np.sin(kz)
+    # 2 sin(phase) in versine form; the equivalent 4 - arg^2 cancels badly
+    # near the cone tip
     y, _ = _versine_args(kx, ky, kz)
     den_sq = 4.0 * y * (2.0 - y)
     degenerate = den_sq < DEGENERACY_MARGIN**2

@@ -298,8 +298,10 @@ def evolve_direct(state: LatticeState, steps: int) -> LatticeState:
 def _shifted_overlaps(amp: np.ndarray) -> np.ndarray:
     """Per axis, sum over modes m of conj(amp[m]) amp[m - 1]: for momentum
     amplitudes, the site-probability phasor sum_x |psi(x)|^2 exp(2 pi i x/n).
+    Along the contiguous axis 0 the pairs are slices, so nothing is copied.
     """
-    return np.array([np.vdot(amp, np.roll(amp, 1, axis)) for axis in range(3)])
+    return np.array([np.vdot(amp[1:], amp[:-1]) + np.vdot(amp[:1], amp[-1:])]
+                    + [np.vdot(amp, np.roll(amp, 1, axis)) for axis in (1, 2)])
 
 
 def _circular_stats(overlaps: np.ndarray, weight: float, n: int):

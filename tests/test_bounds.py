@@ -315,6 +315,18 @@ def test_load_rejects_non_finite_numbers(tmp_path, record, value):
         assert cli_main(["bounds", "--experiments", str(path)]) == 2
 
 
+def test_load_rejects_integer_too_large_for_a_float(tmp_path, capsys):
+    # float() of a 401-digit JSON integer raised OverflowError: a traceback
+    path = write_catalog(tmp_path, [{
+        "id": "x", "kind": "dispersion", "source": "t",
+        "e_qg_lower_bound": 10**400, "liv_order": 1, "sign": 1}])
+    with pytest.raises(CatalogParseError, match="e_qg_lower_bound"):
+        load_experiments(path)
+    assert cli_main(["bounds", "--experiments", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "too large" in err[0]
+
+
 def test_load_rejects_duplicate_ids(tmp_path):
     rec = {"id": "x", "kind": "anisotropy", "source": "t",
            "delta_c_over_c": 1e-18, "wavelength": 1e-6}

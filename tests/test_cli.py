@@ -1,15 +1,20 @@
 """End-to-end command-line checks: formats, exit codes, determinism."""
 
+import csv
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bosonwalk import __version__
 from bosonwalk.cli import main
+from bosonwalk.kernel import surface_table
 
 PACKET = {"kind": "sinc", "n": 16, "k0": [0.4, 0.0, 0.0], "x0": [8, 8, 8],
           "width": 2, "helicity": 0, "steps": 6, "sample_every": 1}
@@ -92,6 +97,64 @@ def test_surface_unwritable_path_leaves_no_partial_file(tmp_path):
     assert run_cli("surface", "--grid", "3", "--out", str(missing_dir)) == 3
     assert not missing_dir.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def reference_surface(m, fmt):
+    """The surface text written one row at a time: `.17g` CSV cells, and
+    json.dumps over a list of one dict per row."""
+    t = surface_table(m)
+    if fmt == "csv":
+        lines = ["kx,ky,kz,phase,vx,vy,vz,speed,degenerate"]
+        for j in range(t["kx"].size):
+            head = ",".join(format(float(t[k][j]), ".17g")
+                            for k in ("kx", "ky", "kz", "phase"))
+            if t["degenerate"][j]:
+                lines.append(head + ",,,,,1")
+            else:
+                lines.append(head + "," + ",".join(
+                    format(float(t[k][j]), ".17g")
+                    for k in ("vx", "vy", "vz", "speed")) + ",0")
+        return "\n".join(lines) + "\n"
+    rows = []
+    for j in range(t["kx"].size):
+        degenerate = bool(t["degenerate"][j])
+        row = {k: float(t[k][j]) for k in ("kx", "ky", "kz", "phase")}
+        row["degenerate"] = degenerate
+        row.update({k: None if degenerate else float(t[k][j])
+                    for k in ("vx", "vy", "vz", "speed")})
+        rows.append(row)
+    return json.dumps(rows, indent=2) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 24), fmt=st.sampled_from(["csv", "json"]))
+@example(m=7, fmt="csv")   # odd grid with both 0.0 and -0.0 velocities
+@example(m=7, fmt="json")
+def test_surface_bytes_match_per_row_reference(tmp_path_factory, m, fmt):
+    out = tmp_path_factory.mktemp("surface") / f"surface.{fmt}"
+    assert run_cli("surface", "--grid", str(m), "--format", fmt,
+                   "--out", str(out)) == 0
+    assert out.read_text() == reference_surface(m, fmt)
+
+
+def test_surface_reference_covers_signed_zeros_and_degenerate_rows():
+    # the grid the property test always includes has what it must tell apart
+    t = surface_table(7)
+    v = np.concatenate([t[k][~t["degenerate"]] for k in ("vx", "vy", "vz")])
+    assert np.any((v == 0) & np.signbit(v)) and np.any((v == 0) & ~np.signbit(v))
+    assert t["degenerate"].any() and not t["degenerate"].all()
+
+
+def test_surface_json_streams_without_holding_its_text(tmp_path):
+    out = tmp_path / "surface.json"
+    tracemalloc.start()
+    try:
+        assert run_cli("surface", "--grid", "32", "--format", "json",
+                       "--out", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
 
 
 # ---------------------------------------------------------------- propagate
@@ -212,6 +275,16 @@ def test_anisotropy_grid_too_coarse():
     assert run_cli("anisotropy", "--grid", "8", "--format", "json") == 2
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_anisotropy_map_refuses_empty_grid(capsys, grid):
+    # --grid 0 used to print only the header, --grid -3 numpy's own error
+    assert run_cli("anisotropy", "--grid", grid, "--format", "csv") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "n_theta, n_phi >= 1" in err[0]
+
+
 # ------------------------------------------------------------------- bounds
 
 def test_bounds_csv_contains_published_scale(tmp_path):
@@ -265,6 +338,22 @@ def test_bounds_custom_catalog(tmp_path):
     assert run_cli("bounds", "--experiments", str(path), "--out", str(out)) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2 and lines[1].startswith("toy,")
+
+
+def test_bounds_csv_quotes_an_id_with_a_comma(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{
+        "id": "grb,comma", "kind": "dispersion", "source": "test",
+        "e_qg_lower_bound": 1e20, "liv_order": 1, "sign": 1}]))
+    out = tmp_path / "bounds.csv"
+    assert run_cli("bounds", "--experiments", str(path), "--out", str(out)) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["id", "kind", "delta_x_m", "ratio_to_planck",
+                       "normalization"]
+    assert len(rows) == 2 and len(rows[1]) == 5
+    assert rows[1][:2] == ["grb,comma", "dispersion"]
+    assert rows[1][4] == "paper_rms"
 
 
 def test_bounds_invalid_catalog_is_config_error(tmp_path):
