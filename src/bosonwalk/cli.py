@@ -4,8 +4,8 @@ Subcommands: surface (dispersion export), propagate (packet drift),
 anisotropy (direction map and stats), bounds (constraint catalog), and
 verify (invariant suite).  Long-form flags only; CSV numbers carry 17
 significant digits; outputs are byte-identical for a given configuration
-and seed.  --threads is accepted for compatibility and has no effect;
-surface export runs single-threaded.
+and seed.  Only verify takes --seed; surface and propagate accept
+--threads for compatibility, and it has no effect.
 
 Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 3 I/O failure, 4 numerical failure (degenerate spectrum and similar).
@@ -363,10 +363,6 @@ def _add_common(sub, *, fmt_default="csv"):
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-    sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="accepted for compatibility; single-threaded")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any sampling (default: 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,6 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the step count from the packet file")
     _add_common(propagate)
     propagate.set_defaults(func=cmd_propagate)
+    for sub in (surface, propagate):
+        sub.add_argument("--threads", type=int, default=1, metavar="N",
+                         help="accepted for compatibility; single-threaded")
 
     aniso = subs.add_parser(
         "anisotropy", help="direction-dependence map or sphere statistics")
@@ -417,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd = subs.add_parser(
         "verify", help="run the cross-module invariant suite")
     _add_common(verify_cmd, fmt_default="json")
+    verify_cmd.add_argument("--seed", type=int, default=0,
+                            help="seed for the random momenta (default: 0)")
     verify_cmd.set_defaults(func=cmd_verify)
 
     return parser

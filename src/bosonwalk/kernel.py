@@ -123,23 +123,22 @@ def _arccos_one_minus(y):
         np.pi - 2.0 * np.arcsin(np.sqrt(0.5 * (2.0 - y))))
 
 
-def _checked_phase(y: float, clamp_tol: float) -> float:
+def _scalar_phase(kappa, clamp_tol: float, branch: int) -> float:
+    """Angle of one branch (0 primary, 1 mirror) at one point.
+
+    With at most one nonzero component both angles are exactly |kappa|,
+    so the axis case skips the trigonometric round trip; elsewhere a
+    cosine argument outside [-1, 1] by more than clamp_tol is refused.
+    """
+    kx, ky, kz = _components(kappa)
+    if sum(1 for c in (kx, ky, kz) if c == 0.0) >= 2:
+        return float(abs(kx + ky + kz))
+    y = float(_versine_args(kx, ky, kz)[branch])
     if y < -clamp_tol or y > 2.0 + clamp_tol:
         raise ArgumentOutOfRangeError(
             f"cosine argument {1.0 - y!r} outside [-1, 1] by more "
             f"than {clamp_tol}")
     return float(_arccos_one_minus(y))
-
-
-def _on_axis_magnitude(kx: float, ky: float, kz: float):
-    """|kappa| if at most one component is nonzero, else None.
-
-    Both branch phases reduce to exactly |kappa| there, so the axis case
-    skips the trigonometric round trip entirely.
-    """
-    if sum(1 for c in (kx, ky, kz) if c == 0.0) >= 2:
-        return float(abs(kx + ky + kz))
-    return None
 
 
 def phase(kappa, clamp_tol: float = PHASE_CLAMP_WINDOW) -> float:
@@ -149,29 +148,23 @@ def phase(kappa, clamp_tol: float = PHASE_CLAMP_WINDOW) -> float:
     exp(-i phase) is an eigenvalue carried by the lower block.  Exact on
     the coordinate axes.
     """
-    kx, ky, kz = _components(kappa)
-    axis = _on_axis_magnitude(kx, ky, kz)
-    if axis is not None:
-        return axis
-    primary, _ = _versine_args(kx, ky, kz)
-    return _checked_phase(float(primary), clamp_tol)
+    return _scalar_phase(kappa, clamp_tol, 0)
 
 
 def mirror_phase(kappa, clamp_tol: float = PHASE_CLAMP_WINDOW) -> float:
     """Per-step phase of the second forward branch; equals phase(-kappa)."""
-    kx, ky, kz = _components(kappa)
-    axis = _on_axis_magnitude(kx, ky, kz)
-    if axis is not None:
-        return axis
-    _, mirror = _versine_args(kx, ky, kz)
-    return _checked_phase(float(mirror), clamp_tol)
+    return _scalar_phase(kappa, clamp_tol, 1)
 
 
-def _require_nondegenerate(phi: float, label: str) -> None:
-    if min(phi, math.pi - phi) < DEGENERACY_MARGIN:
-        raise DegenerateSpectrumError(
-            f"{label} = {phi!r} is within {DEGENERACY_MARGIN} of 0 or pi; "
-            "forward/backward modes merge there")
+def _nondegenerate_phases(kappa) -> tuple[float, float]:
+    """(phase, mirror_phase), refused within the margin of 0 or pi."""
+    phis = phase(kappa), mirror_phase(kappa)
+    for label, phi in zip(("phase", "mirror phase"), phis):
+        if min(phi, math.pi - phi) < DEGENERACY_MARGIN:
+            raise DegenerateSpectrumError(
+                f"{label} = {phi!r} is within {DEGENERACY_MARGIN} of 0 or pi; "
+                "forward/backward modes merge there")
+    return phis
 
 
 @dataclass(frozen=True)
@@ -204,16 +197,12 @@ def branch_decomposition(kappa) -> tuple[BranchModes, BranchModes]:
     branch angle sits within the margin of 0 or pi, where its circular
     modes merge.
     """
-    phi_primary = phase(kappa)
-    phi_mirror = mirror_phase(kappa)
-    _require_nondegenerate(phi_primary, "phase")
-    _require_nondegenerate(phi_mirror, "mirror phase")
+    phis = _nondegenerate_phases(kappa)
     grids = branch_projector_grids(*_components(kappa))
     return tuple(
         BranchModes(name, phi, offset, *(grids[name][key] for key in (
             "forward", "axis", "backward")))
-        for name, phi, offset in (("primary", phi_primary, 3),
-                                  ("mirror", phi_mirror, 0)))
+        for (name, offset), phi in zip(BRANCHES, phis))
 
 
 @dataclass(frozen=True)
@@ -273,8 +262,7 @@ def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     """
     if helicity_index not in (0, 1):
         raise ArgumentOutOfRangeError("helicity_index must be 0 or 1")
-    _require_nondegenerate(phase(kappa), "phase")
-    _require_nondegenerate(mirror_phase(kappa), "mirror phase")
+    _nondegenerate_phases(kappa)
     return forward_vector_grids(*_components(kappa), helicity_index)[0]
 
 
@@ -365,13 +353,11 @@ def phase_expansion_check(kappa) -> float:
 
 def phase_grid(kx, ky, kz) -> np.ndarray:
     """phase(kappa) over broadcast momentum arrays (clamped)."""
-    primary, _ = _versine_args(kx, ky, kz)
-    return _arccos_one_minus(primary)
+    return _arccos_one_minus(_versine_args(kx, ky, kz)[0])
 
 
 def mirror_phase_grid(kx, ky, kz) -> np.ndarray:
-    _, mirror = _versine_args(kx, ky, kz)
-    return _arccos_one_minus(mirror)
+    return _arccos_one_minus(_versine_args(kx, ky, kz)[1])
 
 
 def velocity_grid(kx, ky, kz):

@@ -16,6 +16,7 @@ momentum space, from overlaps of the amplitudes with their one-mode shifts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,6 +149,9 @@ class WavePacketSpec:
     per_mode_internal: bool = False
 
     def __post_init__(self):
+        # tuples keep the spec hashable, so a packet split can be shared
+        object.__setattr__(self, "k0", tuple(self.k0))
+        object.__setattr__(self, "x0", tuple(self.x0))
         if self.kind not in ("sinc", "gaussian"):
             raise PacketSpecError(f"unknown packet kind {self.kind!r}")
         if self.helicity not in (0, 1):
@@ -183,7 +187,7 @@ def make_wavepacket(lattice: Lattice, spec: WavePacketSpec) -> LatticeState:
     """Construct the packet in the momentum basis, exactly normalized."""
     _validate_against_lattice(lattice, spec)
     n = lattice.n
-    kvals = lattice.mode_values()
+    kxg, kyg, kzg = grids = lattice.mode_grids()
 
     if spec.kind == "sinc":
         k0 = snap_to_grid(spec.k0, n)
@@ -194,12 +198,10 @@ def make_wavepacket(lattice: Lattice, spec: WavePacketSpec) -> LatticeState:
         weights[np.ix_(*idx)] = 1.0
     else:
         k0 = ReducedMomentum.wrap(*spec.k0)
-        grids = lattice.mode_grids()
         d2 = sum(_wrap_delta_values(g - c) ** 2
                  for g, c in zip(grids, k0.as_array()))
         weights = np.exp(-d2 / (4.0 * spec.width**2))
 
-    kxg, kyg, kzg = lattice.mode_grids()
     x0 = np.asarray(spec.x0, dtype=float)
     plane = np.exp(-1j * (kxg * x0[0] + kyg * x0[1] + kzg * x0[2]))
 
@@ -237,6 +239,15 @@ def _rotation_parts(lattice: Lattice, amp: np.ndarray) -> list:
                       rotations[name]["degenerate"], axial, perpendicular,
                       np.cross(axis, perpendicular)))
     return parts
+
+
+@functools.lru_cache(maxsize=1)
+def _packet_parts(lattice: Lattice, spec: WavePacketSpec) -> tuple:
+    """Read-only _rotation_parts of a packet, for measurement and prediction."""
+    parts = _rotation_parts(lattice, make_wavepacket(lattice, spec).amplitudes)
+    for array in (a for part in parts for a in part[1:]):
+        array.flags.writeable = False
+    return tuple(parts)
 
 
 def _rotated_block(part, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
@@ -310,6 +321,7 @@ def _circular_stats(overlaps: np.ndarray, weight: float, n: int):
     z = overlaps / weight
     resultants = np.minimum(np.abs(z), 1.0)
     centroids = (np.angle(z) * n / (2.0 * np.pi)) % n
+    centroids[centroids == n] = 0.0  # a rounding error below the real axis
     spreads = (n / (2.0 * np.pi)) * np.sqrt(np.maximum(
         -2.0 * np.log(np.maximum(resultants, 1e-300)), 0.0))
     return centroids, spreads, resultants
@@ -366,7 +378,7 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     if steps < sample_every:
         raise ValueError("need at least one sampling interval")
 
-    parts = _rotation_parts(lattice, make_wavepacket(lattice, spec).amplitudes)
+    parts = _packet_parts(lattice, spec)
     # per block, exp(i t phi) at the current sample t and its step per sample
     phasors = [np.ones_like(part[1], dtype=complex) for part in parts]
     advances = [np.exp(1j * sample_every * part[1]) for part in parts]
@@ -439,13 +451,17 @@ def predicted_state_velocity(state: LatticeState) -> np.ndarray:
     modes not at all.  Degenerate modes are excluded from the sum.
     """
     work = to_momentum(state) if state.basis == POSITION else state
-    kx, ky, kz = state.lattice.mode_grids()
+    return _predicted_velocity(
+        state.lattice, _rotation_parts(state.lattice, work.amplitudes))
+
+
+def _predicted_velocity(lattice: Lattice, parts) -> np.ndarray:
+    kx, ky, kz = lattice.mode_grids()
     v_primary = np.stack(velocity_grid(kx, ky, kz)[:3], axis=-1)
     # the mirror phase at kappa equals the primary phase at -kappa
     v_mirror = -np.stack(velocity_grid(-kx, -ky, -kz)[:3], axis=-1)
 
     total = np.zeros(3)
-    parts = _rotation_parts(state.lattice, work.amplitudes)
     for part, v_branch in zip(parts, (v_primary, v_mirror)):
         _, _, degenerate, _, perpendicular, turned = part
         usable = ~(degenerate | np.isnan(v_branch).any(axis=-1))
@@ -464,4 +480,4 @@ def predicted_packet_velocity(lattice: Lattice, spec: WavePacketSpec) -> np.ndar
     from the single-mode group velocity at k0 by the momentum spread of
     the packet.
     """
-    return predicted_state_velocity(make_wavepacket(lattice, spec))
+    return _predicted_velocity(lattice, _packet_parts(lattice, spec))

@@ -1,9 +1,9 @@
 """Self-contained invariant suite spanning every module.
 
 Each check recomputes one contract from scratch and reports its worst
-residual against a fixed tolerance.  The suite backs the command-line
-`verify` subcommand and is deliberately cheap: a full run takes well under
-a second on a 2-core machine, so it can gate installs and CI jobs.
+residual against a fixed tolerance; the kernel checks evaluate the grid
+forms over arrays of seeded random momenta.  The suite backs the `verify`
+subcommand and runs in well under a second on 2 cores, so it can gate CI.
 """
 
 from __future__ import annotations
@@ -44,14 +44,20 @@ def _result(name, residual, tolerance, detail=""):
     return CheckResult(name, residual <= tolerance, residual, tolerance, detail)
 
 
+def _phases(k):
+    """Primary and mirror branch angles at (count, 3) momenta k, (2, count)."""
+    return np.stack([kernel.phase_grid(*k.T), kernel.mirror_phase_grid(*k.T)])
+
+
 def _safe_momenta(rng, count, margin=0.2):
-    """Random momenta with both branch phases clear of 0 and pi."""
-    out = []
+    """(count, 3) random momenta with both branch phases clear of 0 and pi,
+    drawn from rng exactly as a one-at-a-time rejection loop draws them."""
+    out = np.empty((0, 3))
     while len(out) < count:
-        k = rng.uniform(-math.pi, math.pi, 3)
-        phases = (kernel.phase(k), kernel.mirror_phase(k))
-        if min(min(p, math.pi - p) for p in phases) > margin:
-            out.append(k)
+        k = rng.uniform(-math.pi, math.pi, (count - len(out), 3))
+        phases = _phases(k)
+        out = np.concatenate(
+            [out, k[np.all(np.minimum(phases, math.pi - phases) > margin, axis=0)]])
     return out
 
 
@@ -90,32 +96,23 @@ def _check_algebra(results):
 # ------------------------------------------------------------------- kernel
 
 def _check_kernel(results, rng):
-    momenta = [rng.uniform(-math.pi, math.pi, 3) for _ in range(40)]
-    res = max(np.max(np.abs(kernel.kernel_closed_form(k).conj().T
-                            @ kernel.kernel_closed_form(k) - np.eye(6)))
-              for k in momenta)
+    momenta = rng.uniform(-math.pi, math.pi, (40, 3))
+    u = kernel.kernel_grid(*momenta.T)
+    res = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(6)))
     results.append(_result("kernel.unitarity", res, 1e-13,
                            f"{len(momenta)} random momenta"))
 
-    res = 0.0
-    for k in momenta:
-        u = kernel.kernel_closed_form(k)
-        res = max(res, np.max(np.abs(u[:3, 3:])), np.max(np.abs(u[3:, :3])))
-        res = max(res, np.max(np.abs(u.imag)))
+    res = max(np.max(np.abs(u[:, :3, 3:])), np.max(np.abs(u[:, 3:, :3])),
+              np.max(np.abs(u.imag)))
     results.append(_result("kernel.block_structure", res, 1e-15,
                            "off-diagonal blocks vanish, entries real"))
 
-    res = 0.0
-    for k in momenta:
-        expected = np.sort(np.angle(np.linalg.eigvals(
-            kernel.kernel_closed_form(k))))
-        phases = np.sort([0.0, 0.0,
-                          kernel.phase(k), -kernel.phase(k),
-                          kernel.mirror_phase(k), -kernel.mirror_phase(k)])
-        res = max(res, np.max(np.abs(expected - phases)))
+    both = _phases(momenta)
+    phases = np.sort(np.concatenate([0 * both, both, -both]).T)
+    res = np.max(np.abs(np.sort(np.angle(np.linalg.eigvals(u))) - phases))
     results.append(_result("kernel.closed_form_spectrum", res, 1e-10))
 
-    res = max(abs(kernel.mirror_phase(k) - kernel.phase(-k)) for k in momenta)
+    res = np.max(np.abs(both[1] - kernel.phase_grid(*-momenta.T)))
     results.append(_result("kernel.mirror_parity", res, 1e-15))
 
     mags = rng.uniform(0.05, math.pi - 0.05, 20)
@@ -130,11 +127,13 @@ def _check_kernel(results, rng):
             res = max(res, abs(math.hypot(v.vx, v.vy, v.vz) - 1.0))
     results.append(_result("kernel.axis_speed_unity", res, 1e-12))
 
-    res = 0.0
-    for k in _safe_momenta(rng, 30):
-        va = kernel.group_velocity_analytic(k).as_array()
-        vn = kernel.group_velocity_numeric(k).as_array()
-        res = max(res, np.max(np.abs(va - vn)) / max(np.max(np.abs(va)), 1.0))
+    k = _safe_momenta(rng, 30)
+    va = np.stack(kernel.velocity_grid(*k.T)[:3], axis=-1)
+    h = 1e-6  # group_velocity_numeric's central difference
+    vn = np.stack([(kernel.phase_grid(*(k + d).T) - kernel.phase_grid(*(k - d).T))
+                   / (2.0 * h) for d in np.eye(3) * h], axis=-1)
+    res = np.max(np.max(np.abs(va - vn), axis=-1)
+                 / np.maximum(np.max(np.abs(va), axis=-1), 1.0))
     results.append(_result("kernel.velocity_analytic_vs_numeric", res, 1e-7))
 
     # leading-order expansion residual should drop 8x per halving of |kappa|
@@ -145,27 +144,25 @@ def _check_kernel(results, rng):
     results.append(_result("kernel.series_cubic_scaling", abs(ratio - 8.0), 1.0,
                            f"ratio {ratio:.3f}"))
 
-    res = 0.0
-    for k in _safe_momenta(rng, 15):
-        u = kernel.kernel_closed_form(k)
-        rebuilt = np.zeros((6, 6), dtype=complex)
-        for branch in kernel.branch_decomposition(k):
-            lam = np.exp(-1j * branch.phase)
-            block = (lam * branch.forward + branch.axis
-                     + np.conj(lam) * branch.backward)
-            o = branch.offset
-            rebuilt[o:o + 3, o:o + 3] = block
-        res = max(res, np.max(np.abs(u - rebuilt)))
+    k = _safe_momenta(rng, 15)
+    u, grids = kernel.kernel_grid(*k.T), kernel.branch_projector_grids(*k.T)
+    rebuilt = np.zeros_like(u)
+    # eigenphases from the arccos forms, as branch_decomposition takes them
+    for (name, o), phi in zip(kernel.BRANCHES, _phases(k)):
+        lam, g = np.exp(-1j * phi)[:, None, None], grids[name]
+        rebuilt[:, o:o + 3, o:o + 3] = (lam * g["forward"] + g["axis"]
+                                        + np.conj(lam) * g["backward"])
+    res = np.max(np.abs(u - rebuilt))
     results.append(_result("kernel.two_phase_reconstruction", res, 1e-10))
 
+    k = _safe_momenta(rng, 15)
+    u = kernel.kernel_grid(*k.T)
     res = 0.0
-    for k in _safe_momenta(rng, 15):
-        u = kernel.kernel_closed_form(k)
-        for helicity in (0, 1):
-            vec = kernel.positive_energy_vector(k, helicity_index=helicity)
-            phi = (kernel.phase(k), kernel.mirror_phase(k))[helicity]
-            res = max(res, np.max(np.abs(u @ vec - np.exp(-1j * phi) * vec)))
-            res = max(res, abs(np.linalg.norm(vec) - 1.0))
+    for helicity, phi in enumerate(_phases(k)):
+        vec = kernel.forward_vector_grids(*k.T, helicity)[0]
+        moved = (u @ vec[..., None])[..., 0] - np.exp(-1j * phi)[:, None] * vec
+        res = max(res, np.max(np.abs(moved)),
+                  np.max(np.abs(np.linalg.norm(vec, axis=-1) - 1.0)))
     results.append(_result("kernel.positive_energy_eigenvector", res, 1e-10))
 
 
@@ -210,12 +207,12 @@ def _check_lattice(results, rng):
     spec = lattice.WavePacketSpec("sinc", (0.4, 0.0, 0.0), (8, 8, 8), 2)
     packet = lattice.make_wavepacket(lat16, spec)
     pos = lattice.centroid(lattice.to_position(packet))
-    res = np.max(np.abs(pos - 8.0))
-    res = max(res, abs(packet.norm() - 1.0))
+    res = max(np.max(np.abs(pos - 8.0)), abs(packet.norm() - 1.0))
     results.append(_result("lattice.packet_centred_and_normalized", res, 1e-9))
 
     mv = lattice.measure_group_velocity(lat16, spec, steps=6)
     pred = lattice.predicted_packet_velocity(lat16, spec)
+    lattice._packet_parts.cache_clear()  # no later check reads the split
     res = np.max(np.abs(mv.velocity.as_array() - pred))
     results.append(_result("lattice.axis_packet_drift", res, 0.02,
                            "measured centroid rate vs mode-weighted analytic"))

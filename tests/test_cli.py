@@ -404,6 +404,24 @@ def test_unknown_subcommand_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--seed", "1"),
+    ("anisotropy", "--threads", "2"),
+    ("surface", "--seed", "1"),
+    ("propagate", "--packet", "p.json", "--seed", "1"),
+    ("verify", "--threads", "2"),
+    ("bounds", "--threads", "2"),
+    ("anisotropy", "--seed", "1"),
+])
+def test_flags_only_where_they_act(argv, capsys):
+    # --seed feeds only verify's sampling; --threads stays on surface and
+    # propagate for compatibility
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_positional_arguments_rejected():
     proc = subprocess.run(
         [sys.executable, "-m", "bosonwalk", "surface", "3"],

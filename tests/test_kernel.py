@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bosonwalk.algebra import Axis, build_gamma
 from bosonwalk.errors import (
@@ -426,3 +429,38 @@ def test_surface_contains_quarter_zone_point():
     i = int(np.argmax(match))
     assert np.isclose(table["phase"][i], np.pi / 2, atol=1e-13)
     assert np.isclose(table["speed"][i], 0.0, atol=1e-12)
+
+
+# ------------------------------------------------ properties at random batches
+
+# batches of momenta in the closed zone; hypothesis also draws the edge
+# values 0, +-pi and signed zeros
+momentum_batches = hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.just(3)),
+    elements=st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=momentum_batches)
+def test_property_kernel_grid_is_unitary(k):
+    u = kernel_grid(*k.T)
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    assert np.max(np.abs(gram - np.eye(6))) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=momentum_batches)
+def test_property_mirror_phase_grid_is_phase_grid_at_minus_k(k):
+    np.testing.assert_array_equal(mirror_phase_grid(*k.T), phase_grid(*-k.T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=momentum_batches)
+def test_property_scalar_phase_is_phase_grid_off_the_axes(k):
+    # on an axis the scalar form returns |kappa| exactly instead
+    off_axis = k[np.count_nonzero(k == 0.0, axis=1) < 2]
+    grid = phase_grid(*off_axis.T)
+    mirror = mirror_phase_grid(*off_axis.T)
+    for i, row in enumerate(off_axis):
+        assert phase(row) == grid[i]
+        assert mirror_phase(row) == mirror[i]

@@ -38,7 +38,8 @@ from bosonwalk.lattice import (
     to_momentum,
     to_position,
 )
-from bosonwalk.lattice import _shifted_overlaps
+from bosonwalk import lattice as lattice_module
+from bosonwalk.lattice import _circular_stats, _packet_parts, _shifted_overlaps
 
 
 def delta_state(lattice, site, component=0):
@@ -383,6 +384,13 @@ def test_centroid_of_delta_state():
                                [3, 0, 7], atol=1e-12)
 
 
+def test_circular_centroid_stays_below_n():
+    # a phasor a rounding error below the positive real axis has angle
+    # -1e-17, which the modulo rounds up to exactly n
+    centroids = _circular_stats(np.array([1 - 1e-17j, 1, 1]), 1.0, 8)[0]
+    np.testing.assert_array_equal(centroids, [0.0, 0.0, 0.0])
+
+
 def test_centroid_undefined_for_uniform_state():
     lat = Lattice(8)
     amp = np.full((8, 8, 8, 6), 1.0 + 0j)
@@ -482,3 +490,65 @@ def test_mirror_branch_packet_moves_like_primary_on_axis():
     v0 = measure_group_velocity(lat, s0, steps=10).velocity.as_array()
     v1 = measure_group_velocity(lat, s1, steps=10).velocity.as_array()
     np.testing.assert_allclose(v0, v1, atol=1e-10)
+
+
+# ------------------------------------------------------ shared packet split
+
+def test_measurement_and_prediction_share_one_packet_split(monkeypatch):
+    calls = {"make_wavepacket": 0, "rotation_grids": 0}
+    for name in calls:
+        original = getattr(lattice_module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lattice_module, name, counted)
+    _packet_parts.cache_clear()
+    lat = Lattice(16)
+    spec = WavePacketSpec("sinc", (0.4, 0.3, 0.0), (8, 8, 8), 2)
+    measure_group_velocity(lat, spec, steps=4)
+    predicted_packet_velocity(lat, spec)
+    assert calls == {"make_wavepacket": 1, "rotation_grids": 1}
+
+
+def test_shared_packet_split_is_read_only():
+    lat = Lattice(16)
+    spec = WavePacketSpec("sinc", (0.4, 0.3, -0.2), (4, 4, 4), 2)
+    for part in _packet_parts(lat, spec):
+        for array in part[1:]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+def test_list_valued_spec_is_hashable_and_matches_tuples():
+    lat = Lattice(16)
+    listed = WavePacketSpec("sinc", [0.4, 0.3, 0.0], [8, 8, 8], 2)
+    tupled = WavePacketSpec("sinc", (0.4, 0.3, 0.0), (8, 8, 8), 2)
+    assert listed.k0 == (0.4, 0.3, 0.0) and listed.x0 == (8, 8, 8)
+    assert hash(listed) == hash(tupled)
+    a = measure_group_velocity(lat, listed, steps=4)
+    _packet_parts.cache_clear()
+    b = measure_group_velocity(lat, tupled, steps=4)
+    np.testing.assert_array_equal(a.trajectory.positions,
+                                  b.trajectory.positions)
+    np.testing.assert_array_equal(predicted_packet_velocity(lat, listed),
+                                  predicted_packet_velocity(lat, tupled))
+
+
+def test_interleaved_specs_predict_as_fresh_packets():
+    lat = Lattice(16)
+    specs = (WavePacketSpec("sinc", (0.4, 0.3, 0.0), (8, 8, 8), 2),
+             WavePacketSpec("sinc", (-0.8, 0.4, 1.2), (4, 9, 12), 2,
+                            helicity=1))
+    predicted = [predicted_state_velocity(make_wavepacket(lat, s)) for s in specs]
+    measured = []
+    for spec in specs:
+        _packet_parts.cache_clear()
+        measured.append(measure_group_velocity(lat, spec, steps=2).velocity)
+    for i in (0, 1, 1, 0, 1, 0):
+        got = measure_group_velocity(lat, specs[i], steps=2).velocity
+        assert got == measured[i]
+        np.testing.assert_array_equal(
+            predicted_packet_velocity(lat, specs[i]), predicted[i])
