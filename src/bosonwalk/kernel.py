@@ -487,14 +487,13 @@ def rotation_grids(kx, ky, kz):
         col *= np.where(np.sum(col * w, axis=-1) < 0.0, -1.0, 1.0)[..., None]
         axis = np.where((y > 1.0)[..., None], col, w)
         length = np.sqrt(np.sum(axis * axis, axis=-1, keepdims=True))
-        # the same degeneracy test as phase_grid would give; the angle itself
-        # comes from atan2, as arccos(1 - y) loses about 1e-8 near pi
-        arccos_phi = _arccos_one_minus(y)
+        # atan2, as arccos(1 - y) loses about 1e-8 near pi and would miss
+        # modes whose angle is exactly pi
+        phi = np.arctan2(0.5 * w_norm, cos_phi)
         out[name] = {
             "axis": axis / np.where(length == 0.0, 1.0, length),
-            "phase": np.arctan2(0.5 * w_norm, cos_phi),
-            "degenerate": np.minimum(arccos_phi, np.pi - arccos_phi)
-            < DEGENERACY_MARGIN,
+            "phase": phi,
+            "degenerate": np.minimum(phi, np.pi - phi) < DEGENERACY_MARGIN,
         }
     return out
 

@@ -12,6 +12,12 @@ then x.  In momentum space t steps turn each 3-component block of every
 mode by t times its angle about its own axis (`kernel.rotation_grids`).
 Both routes are implemented and agree to rounding.  Centroids are read in
 momentum space, from overlaps of the amplitudes with their one-mode shifts.
+
+Evolution is diagonal in momentum, so a packet never leaves its modes: it
+is built, propagated and predicted on its support window, per axis the
+cyclic index run over its occupied modes and one empty halo mode, whose
+zero keeps the shifted overlaps exact.  Work scales with that window; a
+Gaussian packet occupies every mode, so its window is the full lattice.
 """
 
 from __future__ import annotations
@@ -64,10 +70,10 @@ class Lattice:
         wrapped = np.where(m <= self.n // 2, m, m - self.n)
         return 2.0 * np.pi * wrapped / self.n
 
-    def mode_grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mode values shaped (n,1,1), (1,n,1), (1,1,n); they broadcast."""
+    def mode_grids(self, window=(slice(None),) * 3) -> tuple[np.ndarray, ...]:
+        """Broadcastable mode values at the per-axis indices `window`."""
         k = self.mode_values()
-        return tuple(np.meshgrid(k, k, k, indexing="ij", sparse=True))
+        return np.ix_(*(k[i] for i in window))
 
 
 @dataclass
@@ -131,9 +137,10 @@ class WavePacketSpec:
 
     kind "sinc": uniform amplitude over a cube of (width+1)^3 momentum
     modes centred on k0 (width even, snapped to the grid); the position
-    profile is a product of Dirichlet kernels.  kind "gaussian": amplitude
+    profile is a product of Dirichlet kernels, and its support window has
+    width+2 modes per axis.  kind "gaussian": amplitude
     exp(-|k - k0|^2 / (4 sigma^2)) with width = sigma, giving a position
-    amplitude of width 1/(2 sigma) sites.
+    amplitude of width 1/(2 sigma) sites; its support is the full lattice.
 
     The internal state is frozen to the positive-energy eigenvector at k0
     (helicity 0: primary branch; 1: mirror branch) unless
@@ -169,66 +176,74 @@ class WavePacketSpec:
                     f"sinc width must be an even integer, got {w}")
 
 
-def _validate_against_lattice(lattice: Lattice, spec: WavePacketSpec) -> None:
+def _cyclic_window(occupied: np.ndarray) -> np.ndarray:
+    """Axis indices of the shortest cyclic run over the true entries of
+    `occupied` and one empty halo index; all, in order, if at most one is false."""
+    n, idx = len(occupied), np.flatnonzero(occupied)
+    gaps = np.diff(idx, append=idx[0] + n)
+    j = int(np.argmax(gaps))
+    if gaps[j] <= 2:
+        return np.arange(n)
+    return (idx[(j + 1) % len(idx)] + np.arange(n - gaps[j] + 2)) % n
+
+
+def _packet_window(lattice: Lattice, spec: WavePacketSpec):
+    """(window, amplitudes): the packet's per-axis support window and its
+    normalized momentum amplitudes there, shape (w0, w1, w2, 6)."""
     n = lattice.n
     if spec.kind == "sinc":
         if spec.width + 1 > n / 4:
             raise PacketSpecError(
                 f"sinc cube edge {spec.width + 1} exceeds n/4 = {n / 4}")
+        k0 = snap_to_grid(spec.k0, n)
+        m0 = np.rint(k0.as_array() * n / (2.0 * np.pi)).astype(int)
+        # per axis, the indices within width/2 of m0, cyclically
+        inside = [abs((np.arange(n) - m + n // 2) % n - n // 2) <= spec.width / 2
+                  for m in m0]
+        window = tuple(_cyclic_window(i) for i in inside)
+        weights = functools.reduce(np.multiply, np.ix_(
+            *(i[w].astype(float) for i, w in zip(inside, window))))
     else:
         # resolvable on the momentum grid, but still narrow in the zone
         lo, hi = 4.0 * np.pi / n, np.pi / 8.0
         if not lo <= spec.width <= hi:
             raise PacketSpecError(
                 f"gaussian sigma {spec.width} outside [{lo:.6g}, {hi:.6g}] for n={n}")
-
-
-def make_wavepacket(lattice: Lattice, spec: WavePacketSpec) -> LatticeState:
-    """Construct the packet in the momentum basis, exactly normalized."""
-    _validate_against_lattice(lattice, spec)
-    n = lattice.n
-    kxg, kyg, kzg = grids = lattice.mode_grids()
-
-    if spec.kind == "sinc":
-        k0 = snap_to_grid(spec.k0, n)
-        half = int(spec.width) // 2
-        m0 = np.rint(k0.as_array() * n / (2.0 * np.pi)).astype(int)
-        idx = [(m0[a] + np.arange(-half, half + 1)) % n for a in range(3)]
-        weights = np.zeros((n, n, n))
-        weights[np.ix_(*idx)] = 1.0
-    else:
         k0 = ReducedMomentum.wrap(*spec.k0)
-        d2 = sum(_wrap_delta_values(g - c) ** 2
-                 for g, c in zip(grids, k0.as_array()))
+        window = (np.arange(n),) * 3  # a Gaussian has full support
+        # momentum offsets wrapped to the nearest periodic image
+        d2 = sum(((g - c + np.pi) % (2.0 * np.pi) - np.pi) ** 2
+                 for g, c in zip(lattice.mode_grids(), k0.as_array()))
         weights = np.exp(-d2 / (4.0 * spec.width**2))
+    kxg, kyg, kzg = grids = lattice.mode_grids(window)
 
     x0 = np.asarray(spec.x0, dtype=float)
     plane = np.exp(-1j * (kxg * x0[0] + kyg * x0[1] + kzg * x0[2]))
-
-    if spec.per_mode_internal:
-        # modes with no forward eigenvector get a zero vector
-        vectors, _ = forward_vector_grids(kxg, kyg, kzg, spec.helicity)
-        amp = (weights * plane)[..., None] * vectors
-    else:
-        u = positive_energy_vector(k0, spec.helicity)
-        amp = (weights * plane)[..., None] * u
+    # with per_mode_internal, modes with no forward eigenvector get zero
+    u = (forward_vector_grids(*grids, spec.helicity)[0] if spec.per_mode_internal
+         else positive_energy_vector(k0, spec.helicity))
+    amp = (weights * plane)[..., None] * u
 
     nrm = np.sqrt(np.sum(np.abs(amp) ** 2))
     if nrm == 0.0:
         raise PacketSpecError("packet has no support on the momentum grid")
-    return LatticeState(lattice, MOMENTUM, amp / nrm)
+    return window, amp / nrm
 
 
-def _wrap_delta_values(d: np.ndarray) -> np.ndarray:
-    """Wrap momentum differences into [-pi, pi) (nearest periodic image)."""
-    return (d + np.pi) % (2.0 * np.pi) - np.pi
+def make_wavepacket(lattice: Lattice, spec: WavePacketSpec) -> LatticeState:
+    """Construct the packet in the momentum basis, exactly normalized: its
+    support-window amplitudes scattered into the full lattice."""
+    window, amp = _packet_window(lattice, spec)
+    full = np.zeros((lattice.n,) * 3 + (6,), dtype=complex)
+    full[np.ix_(*window)] = amp
+    return LatticeState(lattice, MOMENTUM, full)
 
 
-def _rotation_parts(lattice: Lattice, amp: np.ndarray) -> list:
-    """Per block of momentum amplitudes amp: (offset, phi, degenerate,
-    axial, perpendicular, turned), split about the rotation axis n: axial =
-    n (n.a) never moves, perpendicular = a - axial, turned = n x a."""
-    rotations = rotation_grids(*lattice.mode_grids())
+def _rotation_parts(grids, amp: np.ndarray) -> list:
+    """Per block of momentum amplitudes amp over `grids`: (offset, phi,
+    degenerate, axial, perpendicular, turned), split about the rotation axis
+    n: axial = n (n.a) never moves, perpendicular = a - axial, turned = n x a."""
+    rotations = rotation_grids(*grids)
     parts = []
     for name, offset in BRANCHES:
         axis = rotations[name]["axis"]
@@ -243,11 +258,14 @@ def _rotation_parts(lattice: Lattice, amp: np.ndarray) -> list:
 
 @functools.lru_cache(maxsize=1)
 def _packet_parts(lattice: Lattice, spec: WavePacketSpec) -> tuple:
-    """Read-only _rotation_parts of a packet, for measurement and prediction."""
-    parts = _rotation_parts(lattice, make_wavepacket(lattice, spec).amplitudes)
-    for array in (a for part in parts for a in part[1:]):
+    """Read-only mode grids of a packet's support window and _rotation_parts
+    of its amplitudes there, for measurement and prediction."""
+    window, amp = _packet_window(lattice, spec)
+    grids = lattice.mode_grids(window)
+    parts = _rotation_parts(grids, amp)
+    for array in grids + tuple(a for part in parts for a in part[1:]):
         array.flags.writeable = False
-    return tuple(parts)
+    return grids, tuple(parts)
 
 
 def _rotated_block(part, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
@@ -270,7 +288,7 @@ def evolve_spectral(state: LatticeState, steps: int) -> LatticeState:
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
     amp = np.empty_like(work.amplitudes)
-    for part in _rotation_parts(state.lattice, work.amplitudes):
+    for part in _rotation_parts(state.lattice.mode_grids(), work.amplitudes):
         offset, phi = part[:2]
         amp[..., offset:offset + 3] = _rotated_block(
             part, np.cos(steps * phi), np.sin(steps * phi))
@@ -309,10 +327,13 @@ def evolve_direct(state: LatticeState, steps: int) -> LatticeState:
 def _shifted_overlaps(amp: np.ndarray) -> np.ndarray:
     """Per axis, sum over modes m of conj(amp[m]) amp[m - 1]: for momentum
     amplitudes, the site-probability phasor sum_x |psi(x)|^2 exp(2 pi i x/n).
-    Along the contiguous axis 0 the pairs are slices, so nothing is copied.
+    Each axis is read as runs of one full turn along it, with stride s
+    elements per index, so the pairs are slices and nothing is copied.
     """
-    return np.array([np.vdot(amp[1:], amp[:-1]) + np.vdot(amp[:1], amp[-1:])]
-                    + [np.vdot(amp, np.roll(amp, 1, axis)) for axis in (1, 2)])
+    strides = (math.prod(amp.shape[a + 1:]) for a in range(3))
+    runs = [(amp.reshape(-1, amp.shape[a] * s), s) for a, s in enumerate(strides)]
+    return np.array([np.vecdot(r[:, s:], r[:, :-s]).sum()
+                     + np.vecdot(r[:, :s], r[:, -s:]).sum() for r, s in runs])
 
 
 def _circular_stats(overlaps: np.ndarray, weight: float, n: int):
@@ -378,7 +399,7 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     if steps < sample_every:
         raise ValueError("need at least one sampling interval")
 
-    parts = _packet_parts(lattice, spec)
+    _, parts = _packet_parts(lattice, spec)
     # per block, exp(i t phi) at the current sample t and its step per sample
     phasors = [np.ones_like(part[1], dtype=complex) for part in parts]
     advances = [np.exp(1j * sample_every * part[1]) for part in parts]
@@ -429,7 +450,7 @@ def project_to_branch(state: LatticeState, helicity: int = 0) -> LatticeState:
     work = to_momentum(state) if came_from_position else state
     lattice = state.lattice
     offset, _, degenerate, _, perpendicular, turned = _rotation_parts(
-        lattice, work.amplitudes)[helicity]
+        lattice.mode_grids(), work.amplitudes)[helicity]
     # forward projector (a - n (n.a) + i n x a) / 2
     block = 0.5 * (perpendicular + 1j * turned)
     block[degenerate] = 0.0
@@ -448,15 +469,20 @@ def predicted_state_velocity(state: LatticeState) -> np.ndarray:
     Decomposes the state per mode onto the six exact eigenmodes and sums
     eigenmode weights times eigenmode velocities: forward modes move at
     the branch group velocity, backward modes at its negative, stationary
-    modes not at all.  Degenerate modes are excluded from the sum.
+    modes not at all.  Degenerate modes are excluded from the sum, which
+    runs over the state's support window, as for a packet.
     """
     work = to_momentum(state) if state.basis == POSITION else state
+    occupied = np.any(work.amplitudes != 0, axis=-1)
+    window = tuple(_cyclic_window(occupied.any(axis=tuple({0, 1, 2} - {a})))
+                   for a in range(3))
+    grids = state.lattice.mode_grids(window)
     return _predicted_velocity(
-        state.lattice, _rotation_parts(state.lattice, work.amplitudes))
+        grids, _rotation_parts(grids, work.amplitudes[np.ix_(*window)]))
 
 
-def _predicted_velocity(lattice: Lattice, parts) -> np.ndarray:
-    kx, ky, kz = lattice.mode_grids()
+def _predicted_velocity(grids, parts) -> np.ndarray:
+    kx, ky, kz = grids
     v_primary = np.stack(velocity_grid(kx, ky, kz)[:3], axis=-1)
     # the mirror phase at kappa equals the primary phase at -kappa
     v_mirror = -np.stack(velocity_grid(-kx, -ky, -kz)[:3], axis=-1)
@@ -480,4 +506,4 @@ def predicted_packet_velocity(lattice: Lattice, spec: WavePacketSpec) -> np.ndar
     from the single-mode group velocity at k0 by the momentum spread of
     the packet.
     """
-    return _predicted_velocity(lattice, _packet_parts(lattice, spec))
+    return _predicted_velocity(*_packet_parts(lattice, spec))

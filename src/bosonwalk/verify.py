@@ -212,7 +212,6 @@ def _check_lattice(results, rng):
 
     mv = lattice.measure_group_velocity(lat16, spec, steps=6)
     pred = lattice.predicted_packet_velocity(lat16, spec)
-    lattice._packet_parts.cache_clear()  # no later check reads the split
     res = np.max(np.abs(mv.velocity.as_array() - pred))
     results.append(_result("lattice.axis_packet_drift", res, 0.02,
                            "measured centroid rate vs mode-weighted analytic"))

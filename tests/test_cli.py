@@ -189,6 +189,23 @@ def test_propagate_json_summary(tmp_path):
     assert summary["norm_drift"] <= 1e-12
 
 
+def test_propagate_sparse_packet_on_a_large_lattice(tmp_path):
+    # a 1024^3 lattice: any array over every mode would exceed the 1 GiB
+    # address-space limit put on the process
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    packet = write_packet(tmp_path, steps=60, sample_every=20)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosonwalk", "propagate", "--packet", packet,
+         "--n", "1024", "--format", "csv"],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 5
+
+
 def test_propagate_overrides_take_precedence(tmp_path):
     out = tmp_path / "summary.json"
     packet = write_packet(tmp_path)

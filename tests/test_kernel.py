@@ -32,6 +32,7 @@ from bosonwalk.kernel import (
     phase_expansion_check,
     phase_grid,
     positive_energy_vector,
+    rotation_grids,
     speed_deviation_series,
     surface_table,
     velocity_grid,
@@ -399,6 +400,14 @@ def test_branch_projector_grids_match_scalar():
                 for key in ("forward", "axis", "backward"):
                     np.testing.assert_allclose(g[key][i, j],
                                                getattr(branch, key), atol=1e-11)
+
+
+def test_rotation_grids_flag_angles_of_exactly_pi():
+    # arccos(1 - y) puts this angle 2.8e-8 below pi, outside the margin
+    rotations = rotation_grids(0.0, 2 * np.pi / 16, np.pi)
+    for name in ("primary", "mirror"):
+        assert rotations[name]["phase"] == np.pi
+        assert rotations[name]["degenerate"]
 
 
 def test_surface_table_shape_and_order():

@@ -4,16 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bosonwalk.errors import (
     BasisMismatchError,
+    DegenerateSpectrumError,
     PacketSpecError,
     UndefinedCentroidError,
 )
 from bosonwalk.kernel import (
+    BRANCHES,
     ReducedMomentum,
+    branch_projector_grids,
     group_velocity_analytic,
     mirror_phase_grid,
     phase,
@@ -39,7 +42,12 @@ from bosonwalk.lattice import (
     to_position,
 )
 from bosonwalk import lattice as lattice_module
-from bosonwalk.lattice import _circular_stats, _packet_parts, _shifted_overlaps
+from bosonwalk.lattice import (
+    _circular_stats,
+    _packet_parts,
+    _packet_window,
+    _shifted_overlaps,
+)
 
 
 def delta_state(lattice, site, component=0):
@@ -495,7 +503,7 @@ def test_mirror_branch_packet_moves_like_primary_on_axis():
 # ------------------------------------------------------ shared packet split
 
 def test_measurement_and_prediction_share_one_packet_split(monkeypatch):
-    calls = {"make_wavepacket": 0, "rotation_grids": 0}
+    calls = {"_packet_window": 0, "rotation_grids": 0}
     for name in calls:
         original = getattr(lattice_module, name)
 
@@ -509,17 +517,17 @@ def test_measurement_and_prediction_share_one_packet_split(monkeypatch):
     spec = WavePacketSpec("sinc", (0.4, 0.3, 0.0), (8, 8, 8), 2)
     measure_group_velocity(lat, spec, steps=4)
     predicted_packet_velocity(lat, spec)
-    assert calls == {"make_wavepacket": 1, "rotation_grids": 1}
+    assert calls == {"_packet_window": 1, "rotation_grids": 1}
 
 
 def test_shared_packet_split_is_read_only():
     lat = Lattice(16)
     spec = WavePacketSpec("sinc", (0.4, 0.3, -0.2), (4, 4, 4), 2)
-    for part in _packet_parts(lat, spec):
-        for array in part[1:]:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[...] = 0
+    grids, parts = _packet_parts(lat, spec)
+    for array in grids + tuple(a for part in parts for a in part[1:]):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 def test_list_valued_spec_is_hashable_and_matches_tuples():
@@ -552,3 +560,130 @@ def test_interleaved_specs_predict_as_fresh_packets():
         assert got == measured[i]
         np.testing.assert_array_equal(
             predicted_packet_velocity(lat, specs[i]), predicted[i])
+
+
+# ------------------------------------------------------ support windows
+
+def full_lattice_trajectory(lat, spec, sample_steps):
+    """Positions, spreads and norms of the full-lattice packet, evolved by
+    evolve_spectral and read from its position-space site marginals."""
+    n = lat.n
+    packet = make_wavepacket(lat, spec)
+    phasor = np.exp(2j * np.pi * np.arange(n) / n)
+    positions, spreads, norms = [], [], []
+    for t in sample_steps:
+        state = to_position(evolve_spectral(packet, t))
+        p = np.sum(np.abs(state.amplitudes) ** 2, axis=-1)
+        z = np.array([np.sum(p.sum(axis=tuple({0, 1, 2} - {a})) * phasor)
+                      for a in range(3)]) / p.sum()
+        positions.append(centroid(state))
+        spreads.append(n / (2 * np.pi) * np.sqrt(-2 * np.log(np.abs(z))))
+        norms.append(np.sqrt(p.sum()))
+    return np.array(positions), np.array(spreads), np.array(norms)
+
+
+def full_lattice_prediction(state):
+    """Forward minus backward weight times branch velocity, summed over
+    every nondegenerate mode of the full lattice."""
+    grids = state.lattice.mode_grids()
+    projectors = branch_projector_grids(*grids)
+    total = np.zeros(3)
+    for (name, offset), sign in zip(BRANCHES, (1.0, -1.0)):
+        a = state.amplitudes[..., offset:offset + 3]
+        g = projectors[name]
+        w = np.einsum("...i,...ij,...j->...", a.conj(),
+                      g["forward"] - g["backward"], a).real
+        # the mirror velocity at kappa is minus the primary one at -kappa
+        v = sign * np.stack(velocity_grid(*(sign * k for k in grids))[:3], -1)
+        usable = ~(g["degenerate"] | np.isnan(v).any(axis=-1))
+        total += np.sum(np.where(usable[..., None], w[..., None] * v, 0.0),
+                        axis=(0, 1, 2))
+    return total
+
+
+@st.composite
+def sinc_packets(draw):
+    """Sinc packets whose centre modes include 0 and +-pi, so that windows
+    wrap across index n-1 -> 0 or across the zone edge."""
+    n = draw(st.sampled_from([16, 32]))  # n = 8 admits no sinc cube
+    width = draw(st.sampled_from([w for w in (2, 4, 6) if w + 1 <= n / 4]))
+    edge = st.sampled_from([0, 1, -1, n // 2, n // 2 - 1, 1 - n // 2])
+    modes = [draw(st.one_of(edge, st.integers(1 - n // 2, n // 2)))
+             for _ in range(3)]
+    spec = WavePacketSpec(
+        "sinc", tuple(2 * np.pi * m / n for m in modes),
+        tuple(draw(st.integers(0, n - 1)) for _ in range(3)), width,
+        helicity=draw(st.integers(0, 1)),
+        per_mode_internal=draw(st.booleans()))
+    return Lattice(n), spec, draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=sinc_packets())
+@example(case=(Lattice(16), WavePacketSpec(
+    "sinc", (0.0, 0.0, 0.0), (3, 8, 15), 2, per_mode_internal=True), 2, 3))
+@example(case=(Lattice(32), WavePacketSpec(
+    "sinc", (np.pi, -np.pi, 2 * np.pi / 32), (0, 31, 7), 6, helicity=1), 3, 2))
+def test_property_windowed_packet_matches_full_lattice(case):
+    lat, spec, sample_every, intervals = case
+    try:
+        packet = make_wavepacket(lat, spec)
+    except (DegenerateSpectrumError, PacketSpecError):
+        assume(False)  # k0 or every mode of the cube has no forward mode
+    _packet_parts.cache_clear()
+    mv = measure_group_velocity(lat, spec, sample_every * intervals,
+                                sample_every)
+    positions, spreads, norms = full_lattice_trajectory(
+        lat, spec, mv.trajectory.steps)
+    n = lat.n
+    offset = (mv.trajectory.positions - positions + n / 2) % n - n / 2
+    assert np.max(np.abs(offset)) <= 1e-12
+    np.testing.assert_allclose(mv.trajectory.spreads, spreads, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mv.trajectory.norms, norms, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        predicted_packet_velocity(lat, spec),
+        full_lattice_prediction(packet), rtol=0, atol=1e-12)
+    # the cube of width + 1 modes per axis and one halo mode
+    assert _packet_window(lat, spec)[1].shape == (spec.width + 2,) * 3 + (6,)
+
+
+def test_gaussian_packet_window_is_the_whole_lattice():
+    lat = Lattice(32)
+    spec = WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (8, 8, 8), np.pi / 8)
+    window, amp = _packet_window(lat, spec)
+    for axis in window:
+        np.testing.assert_array_equal(axis, np.arange(32))
+    np.testing.assert_array_equal(amp, make_wavepacket(lat, spec).amplitudes)
+
+
+def test_sparse_packet_memory_does_not_grow_with_the_lattice():
+    # any n^3 array at n = 1024 takes gigabytes; the address-space cap makes
+    # allocating one fail at once instead of filling the host's memory
+    resource = pytest.importorskip("resource")
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 4 << 30 if limits[1] == resource.RLIM_INFINITY else min(4 << 30, limits[1])
+    lat = Lattice(1024)
+    spec = WavePacketSpec("sinc", (0.4, 0.0, 0.0), (512, 512, 512), 2)
+    _packet_parts.cache_clear()
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    tracemalloc.start()
+    try:
+        mv = measure_group_velocity(lat, spec, steps=60, sample_every=20)
+        pred = predicted_packet_velocity(lat, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert peak < 1 << 20
+    assert np.max(np.abs(mv.velocity.as_array() - pred)) <= 0.02
+
+
+def test_prediction_excludes_modes_at_exactly_pi():
+    # both block angles at kappa = (0, 2 pi/16, pi) are exactly pi, where
+    # the branch velocity divides by a vanishing sine
+    lat = Lattice(16)
+    amp = np.zeros((16, 16, 16, 6), dtype=complex)
+    amp[0, 1, 8] = np.array([1, 1j]) @ np.random.default_rng(3).standard_normal((2, 6))
+    amp /= np.linalg.norm(amp)
+    np.testing.assert_array_equal(
+        predicted_state_velocity(LatticeState(lat, "momentum", amp)), 0.0)
