@@ -116,6 +116,11 @@ class BoundResult:
     alternate_delta_x_upper_bound: Optional[float] = None
     note: Optional[str] = None
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.delta_x_upper_bound, self.ratio_to_planck,
+                                       self.alternate_delta_x_upper_bound or 0.0))):
+            raise OverflowError(f"record {self.experiment_id!r}: bound is not finite")
+
     def as_dict(self) -> dict:
         return asdict(self)
 

@@ -70,6 +70,7 @@ _NUMERICAL_ERRORS = (
     UndefinedCentroidError,
     ZeroMomentumError,
     np.linalg.LinAlgError,
+    OverflowError,  # a finite input whose result leaves the float range
 )
 
 PACKET_FIELDS = ("kind", "n", "k0", "x0", "width", "helicity",
@@ -246,7 +247,7 @@ def cmd_propagate(args) -> int:
                 measured.trajectory.norms - 1.0))),
             "final_spread": list(measured.trajectory.spreads[-1]),
         }
-        text = json.dumps(summary, indent=2) + "\n"
+        text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
     _write_output(args.out, [text])
     return EXIT_OK
 
@@ -276,7 +277,7 @@ def cmd_anisotropy(args) -> int:
             "n_theta": st.n_theta,
             "n_phi": st.n_phi,
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     _write_output(args.out, [text])
     return EXIT_OK
 
@@ -320,7 +321,7 @@ def cmd_bounds(args) -> int:
                     "note": e.note,
                     "inputs_echo": e.inputs_echo,
                 })
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     _write_output(args.out, [text])
     return EXIT_OK
 
@@ -346,11 +347,13 @@ def cmd_verify(args) -> int:
         payload = {
             "seed": report.seed,
             "passed": report.passed,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "residual": c.residual, "tolerance": c.tolerance,
-                        "detail": c.detail} for c in report.checks],
+            "checks": [{"name": c.name, "passed": c.passed, "residual":
+                        c.residual if math.isfinite(c.residual) else None,
+                        "tolerance": c.tolerance, "detail": c.detail}
+                       for c in report.checks],
         }
-        _write_output(args.out, [json.dumps(payload, indent=2) + "\n"])
+        text_json = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        _write_output(args.out, [text_json])
         sys.stdout.write(text)
     else:
         _write_output(args.out, [text])

@@ -434,7 +434,7 @@ def forward_vector_grids(kx, ky, kz, helicity_index: int = 0):
     1e-9 in modulus made real positive.
     """
     name, offset = BRANCHES[helicity_index]
-    rotation = rotation_grids(kx, ky, kz)[name]
+    rotation = rotation_grids(kx, ky, kz, (name,))[name]
     n, bad = rotation["axis"], rotation["degenerate"]
     pick = np.argmin(np.abs(n), axis=-1)[..., None]
     e = (np.arange(3) == pick).astype(float)
@@ -448,10 +448,10 @@ def forward_vector_grids(kx, ky, kz, helicity_index: int = 0):
     return out, bad
 
 
-def rotation_grids(kx, ky, kz):
-    """Axis-angle form of both rotation blocks over broadcast momenta.
+def rotation_grids(kx, ky, kz, names=("primary", "mirror")):
+    """Axis-angle form of the named rotation blocks over broadcast momenta.
 
-    Returns a dict per branch ('primary', 'mirror') with keys 'axis'
+    Returns a dict per branch in `names` (default both) with keys 'axis'
     (..., 3), the unit rotation axis n; 'phase' (...,), the angle phi in
     [0, pi]; and 'degenerate' (...,), the angle within the margin of 0 or
     pi.  The block acts as R^t a = n (n.a) + cos(t phi) (a - n (n.a)) +
@@ -462,6 +462,8 @@ def rotation_grids(kx, ky, kz):
     out = {}
     # the primary (lower) block is the mirror (upper) block at -kappa
     for (name, _), sign, y in zip(BRANCHES, (-1.0, 1.0), _versine_args(kx, ky, kz)):
+        if name not in names:
+            continue
         sx, sy, sz = sign * np.sin(kx), sign * np.sin(ky), sign * np.sin(kz)
         cos_phi = 1.0 - y
         # off-diagonal entries of the upper block of kernel_grid

@@ -8,10 +8,10 @@ reduced momentum kappa = 2 pi m / n wrapped into (-pi, pi].
 
 One walk step shifts the plus/zero/minus projector components of each
 axis by +1/0/-1 sites, applying the axis factors in the order z, then y,
-then x.  In momentum space t steps turn each 3-component block of every
-mode by t times its angle about its own axis (`kernel.rotation_grids`).
-Both routes are implemented and agree to rounding.  Centroids are read in
-momentum space, from overlaps of the amplitudes with their one-mode shifts.
+then x.  In momentum space t steps turn each occupied 3-component block
+of every mode (a packet occupies one) by t times its angle about its own
+axis (`kernel.rotation_grids`); both routes agree to rounding.  Centroids
+are read in momentum space, from overlaps with the one-mode shifts.
 
 Evolution is diagonal in momentum, so a packet never leaves its modes: it
 is built, propagated and predicted on its support window, per axis the
@@ -240,12 +240,13 @@ def make_wavepacket(lattice: Lattice, spec: WavePacketSpec) -> LatticeState:
 
 
 def _rotation_parts(grids, amp: np.ndarray) -> list:
-    """Per block of momentum amplitudes amp over `grids`: (offset, phi,
-    degenerate, axial, perpendicular, turned), split about the rotation axis
+    """Per occupied block of momentum amplitudes amp over `grids`: (offset,
+    phi, degenerate, axial, perpendicular, turned) about the rotation axis
     n: axial = n (n.a) never moves, perpendicular = a - axial, turned = n x a."""
-    rotations = rotation_grids(*grids)
+    live = [b for b in BRANCHES if amp[..., b[1]:b[1] + 3].any()]
+    rotations = rotation_grids(*grids, [name for name, _ in live])
     parts = []
-    for name, offset in BRANCHES:
+    for name, offset in live:
         axis = rotations[name]["axis"]
         block = amp[..., offset:offset + 3]
         axial = np.sum(axis * block, axis=-1, keepdims=True) * axis
@@ -259,7 +260,7 @@ def _rotation_parts(grids, amp: np.ndarray) -> list:
 @functools.lru_cache(maxsize=1)
 def _packet_parts(lattice: Lattice, spec: WavePacketSpec) -> tuple:
     """Read-only mode grids of a packet's support window and _rotation_parts
-    of its amplitudes there, for measurement and prediction."""
+    of its amplitudes there (one part: a packet occupies one block)."""
     window, amp = _packet_window(lattice, spec)
     grids = lattice.mode_grids(window)
     parts = _rotation_parts(grids, amp)
@@ -287,7 +288,7 @@ def evolve_spectral(state: LatticeState, steps: int) -> LatticeState:
         raise ValueError(f"steps must be a nonnegative integer, got {steps}")
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
-    amp = np.empty_like(work.amplitudes)
+    amp = np.zeros_like(work.amplitudes)
     for part in _rotation_parts(state.lattice.mode_grids(), work.amplitudes):
         offset, phi = part[:2]
         amp[..., offset:offset + 3] = _rotated_block(
@@ -448,18 +449,18 @@ def project_to_branch(state: LatticeState, helicity: int = 0) -> LatticeState:
         raise PacketSpecError(f"helicity must be 0 or 1, got {helicity}")
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
-    lattice = state.lattice
-    offset, _, degenerate, _, perpendicular, turned = _rotation_parts(
-        lattice.mode_grids(), work.amplitudes)[helicity]
-    # forward projector (a - n (n.a) + i n x a) / 2
-    block = 0.5 * (perpendicular + 1j * turned)
-    block[degenerate] = 0.0
+    offset = BRANCHES[helicity][1]
     amp = np.zeros_like(work.amplitudes)
-    amp[..., offset:offset + 3] = block
+    amp[..., offset:offset + 3] = work.amplitudes[..., offset:offset + 3]
+    for offset, _, degenerate, _, perpendicular, turned in _rotation_parts(
+            state.lattice.mode_grids(), amp):
+        # forward projector (a - n (n.a) + i n x a) / 2
+        amp[..., offset:offset + 3] = np.where(
+            degenerate[..., None], 0.0, 0.5 * (perpendicular + 1j * turned))
     nrm = np.sqrt(np.sum(np.abs(amp) ** 2))
     if nrm == 0.0:
         raise PacketSpecError("state has no overlap with the forward eigenspace")
-    out = LatticeState(lattice, MOMENTUM, amp / nrm)
+    out = LatticeState(state.lattice, MOMENTUM, amp / nrm)
     return to_position(out) if came_from_position else out
 
 
@@ -482,14 +483,12 @@ def predicted_state_velocity(state: LatticeState) -> np.ndarray:
 
 
 def _predicted_velocity(grids, parts) -> np.ndarray:
-    kx, ky, kz = grids
-    v_primary = np.stack(velocity_grid(kx, ky, kz)[:3], axis=-1)
-    # the mirror phase at kappa equals the primary phase at -kappa
-    v_mirror = -np.stack(velocity_grid(-kx, -ky, -kz)[:3], axis=-1)
-
     total = np.zeros(3)
-    for part, v_branch in zip(parts, (v_primary, v_mirror)):
-        _, _, degenerate, _, perpendicular, turned = part
+    for offset, _, degenerate, _, perpendicular, turned in parts:
+        # the mirror phase at kappa equals the primary phase at -kappa
+        sign = 1.0 if offset == dict(BRANCHES)["primary"] else -1.0
+        v_branch = sign * np.stack(
+            velocity_grid(*(sign * k for k in grids))[:3], axis=-1)
         usable = ~(degenerate | np.isnan(v_branch).any(axis=-1))
         # forward minus backward weight Re(i a^dagger (n x a)); n x a is
         # orthogonal to the axial part

@@ -380,6 +380,32 @@ def test_bounds_invalid_catalog_is_config_error(tmp_path):
     assert run_cli("bounds", "--experiments", str(tmp_path / "missing.json")) == 3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("record", [
+    {"id": "tiny", "kind": "dispersion", "source": "t",
+     "e_qg_lower_bound": 1e-320, "liv_order": 1, "sign": 1},
+    {"id": "huge", "kind": "anisotropy", "source": "t",
+     "delta_c_over_c": 1e308, "wavelength": 1e308},
+])
+def test_bounds_overflowing_to_infinity_is_numerical_error(tmp_path, capsys,
+                                                            record, fmt):
+    # finite inputs whose bound leaves the float range printed inf in CSV
+    # and Infinity, which is not JSON, and exited 0
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]))
+    out = tmp_path / f"bounds.{fmt}"
+    assert run_cli("bounds", "--experiments", str(path), "--format", fmt,
+                   "--out", str(out)) == 4
+    assert not out.exists()
+    assert run_cli("bounds", "--experiments", str(path), "--format", fmt) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith("bosonwalk: numerical failure: ")
+    assert record["id"] in err[0] and "not finite" in err[0]
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_passes_and_reports_enough_checks(capsys):
@@ -400,6 +426,26 @@ def test_verify_json_report(tmp_path, capsys):
     assert len(set(names)) == len(names)
     prefixes = {n.split(".")[0] for n in names}
     assert prefixes == {"algebra", "kernel", "lattice", "anisotropy", "bounds"}
+
+
+def test_verify_json_report_writes_a_non_finite_residual_as_null(
+        tmp_path, capsys, monkeypatch):
+    from bosonwalk import verify
+
+    original = verify.run_all_checks
+
+    def with_nan(seed):
+        report = original(seed=seed)
+        report.checks[0] = verify._result(report.checks[0].name, math.nan, 1.0)
+        return report
+
+    monkeypatch.setattr(verify, "run_all_checks", with_nan)
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    assert report["checks"][0]["residual"] is None
+    assert "FAIL" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------- entry points

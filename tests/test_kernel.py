@@ -410,6 +410,17 @@ def test_rotation_grids_flag_angles_of_exactly_pi():
         assert rotations[name]["degenerate"]
 
 
+@pytest.mark.parametrize("names", [("primary",), ("mirror",), ()])
+def test_rotation_grids_evaluate_only_the_named_branches(names):
+    k = np.random.default_rng(8).uniform(-np.pi, np.pi, (3, 50))
+    both = rotation_grids(*k)
+    some = rotation_grids(*k, names)
+    assert set(some) == set(names)
+    for name in names:
+        for key, value in some[name].items():
+            np.testing.assert_array_equal(value, both[name][key])
+
+
 def test_surface_table_shape_and_order():
     table = surface_table(3)
     assert len(table["kx"]) == 27

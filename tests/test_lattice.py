@@ -562,6 +562,65 @@ def test_interleaved_specs_predict_as_fresh_packets():
             predicted_packet_velocity(lat, specs[i]), predicted[i])
 
 
+# ------------------------------------------------------ occupied blocks
+
+@pytest.mark.parametrize("per_mode_internal", [False, True])
+@pytest.mark.parametrize("helicity", [0, 1])
+@pytest.mark.parametrize("kind, width", [("sinc", 2), ("gaussian", np.pi / 8)])
+def test_packet_split_holds_only_the_packet_block(kind, width, helicity,
+                                                  per_mode_internal):
+    lat = Lattice(32)
+    spec = WavePacketSpec(kind, (0.4, 0.3, -0.2), (8, 8, 8), width,
+                          helicity=helicity, per_mode_internal=per_mode_internal)
+    offset = BRANCHES[helicity][1]
+    amp = _packet_window(lat, spec)[1]
+    assert not np.delete(amp, np.s_[offset:offset + 3], axis=-1).any()
+    _packet_parts.cache_clear()
+    _, parts = _packet_parts(lat, spec)
+    assert [part[0] for part in parts] == [offset]
+
+
+@pytest.mark.parametrize("empty", [0, 3])
+def test_spectral_evolution_keeps_an_empty_block_exactly_zero(empty):
+    lat = Lattice(8)
+    amp = random_state(lat, np.random.default_rng(6), "momentum").amplitudes
+    amp[..., empty:empty + 3] = 0.0
+    st = LatticeState(lat, "momentum", amp / np.linalg.norm(amp))
+    a = evolve_spectral(st, 5).amplitudes
+    assert not a[..., empty:empty + 3].any()
+    b = evolve_direct(st, 5).amplitudes
+    assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("basis", ["momentum", "position"])
+def test_project_to_branch_onto_an_empty_block_raises(basis):
+    lat = Lattice(8)
+    amp = random_state(lat, np.random.default_rng(7)).amplitudes
+    amp[..., 0:3] = 0.0  # the mirror block, helicity 1
+    st = LatticeState(lat, basis, amp / np.linalg.norm(amp))
+    assert project_to_branch(st, helicity=0).norm() == pytest.approx(1.0)
+    with pytest.raises(PacketSpecError,
+                       match="^state has no overlap with the forward eigenspace$"):
+        project_to_branch(st, helicity=1)
+
+
+def test_gaussian_packet_split_holds_one_block():
+    # one block's axial, perpendicular and turned parts, (n^3, 3) complex
+    # each, plus its angle and degeneracy mask; the empty block adds nothing
+    n = 32
+    lat = Lattice(n)
+    spec = WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (8, 8, 8), np.pi / 8)
+    _packet_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        _packet_parts(lat, spec)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _packet_parts.cache_clear()
+    assert held <= 3 * n**3 * 3 * 16 + n**3 * (8 + 1) + (64 << 10)
+
+
 # ------------------------------------------------------ support windows
 
 def full_lattice_trajectory(lat, spec, sample_steps):
