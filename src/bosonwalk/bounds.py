@@ -166,7 +166,10 @@ def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
             "the model's leading speed correction is linear, so this record "
             "does not translate into a spacing bound")
     record.validate()
-    dx = constants.hbar_c / (rms_factor * record.e_qg_lower_bound)
+    try:
+        dx = constants.hbar_c / (rms_factor * record.e_qg_lower_bound)
+    except ZeroDivisionError:  # a subnormal E_QG times rms_factor rounds to 0
+        raise OverflowError(f"record {record.id!r}: bound is not finite") from None
     return BoundResult(
         experiment_id=record.id,
         delta_x_upper_bound=dx,

@@ -193,7 +193,12 @@ def _packet_number(field: str, value, integral: bool = False):
         kind = "an integer" if integral else "a finite number"
         raise PacketSpecError(
             f"packet field {field!r} must be {kind}, got {value!r}")
-    return int(value) if integral else float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise PacketSpecError(
+            f"packet field {field!r} is too large for a float") from None
+    return int(value) if integral else number
 
 
 def _packet_triple(field: str, value, integral: bool = False) -> tuple:

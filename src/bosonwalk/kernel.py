@@ -6,9 +6,9 @@ kappa = (kx, ky, kz) in (-pi, pi]^3 evolves by the 6x6 unitary
     U(kappa) = exp(-i kx G_x) exp(-i ky G_y) exp(-i kz G_z)
 
 with the block generators of `algebra`.  U is block diagonal: each
-3-component half undergoes a real rotation, and each rotation contributes
-one forward mode exp(-i phi), one stationary mode, and one backward mode
-exp(+i phi).
+3-component half is a real rotation, whose unit quaternion is the product
+q_x q_y q_z of half-angle factors, and has one forward mode exp(-i phi),
+one stationary mode, and one backward mode exp(+i phi).
 
 The two blocks rotate by slightly different angles,
 
@@ -456,44 +456,29 @@ def rotation_grids(kx, ky, kz, names=("primary", "mirror")):
     [0, pi]; and 'degenerate' (...,), the angle within the margin of 0 or
     pi.  The block acts as R^t a = n (n.a) + cos(t phi) (a - n (n.a)) +
     sin(t phi) n x a; where phi = 0 exactly, n is zero, keeping R^t = I.
+    Both come from the block's unit quaternion q = (q0, v), the product of
+    the half-angle factors (cos(k/2), -/+sin(k/2) e) of its three axis
+    rotations: phi = 2 atan2(|v|, |q0|), n = sign(q0) v / |v|.
     """
-    kx, ky, kz = (np.asarray(a, float) for a in (kx, ky, kz))
-    cx, cy, cz = np.cos(kx), np.cos(ky), np.cos(kz)
+    half = [0.5 * np.asarray(a, float) for a in (kx, ky, kz)]
+    c1, c2, c3 = (np.cos(h) for h in half)
     out = {}
     # the primary (lower) block is the mirror (upper) block at -kappa
-    for (name, _), sign, y in zip(BRANCHES, (-1.0, 1.0), _versine_args(kx, ky, kz)):
+    for (name, _), sign in zip(BRANCHES, (-1.0, 1.0)):
         if name not in names:
             continue
-        sx, sy, sz = sign * np.sin(kx), sign * np.sin(ky), sign * np.sin(kz)
-        cos_phi = 1.0 - y
-        # off-diagonal entries of the upper block of kernel_grid
-        u01, u02 = -cy * sz, sy
-        u10, u12 = cz * sx * sy + cx * sz, -cy * sx
-        u20, u21 = sx * sz - cx * cz * sy, cz * sx + cx * sy * sz
-        # the antisymmetric part is 2 sin(phi) [n]x; it fixes n to full
-        # precision away from phi = pi
-        w = np.stack(np.broadcast_arrays(u21 - u12, u02 - u20, u10 - u01), axis=-1)
-        w_norm = np.sqrt(np.sum(w * w, axis=-1))
-        # twice the symmetric part minus 2 cos(phi) I is 2 (1 - cos(phi)) n n^T;
-        # its largest column fixes n near phi = pi, signed to agree with w
-        d0 = 2.0 * (cy * cz - cos_phi)
-        d1 = 2.0 * (cx * cz - sx * sy * sz - cos_phi)
-        d2 = 2.0 * (cx * cy - cos_phi)
-        s01, s02, s12 = u01 + u10, u02 + u20, u12 + u21
-        first = (d0 >= d1) & (d0 >= d2)
-        second = ~first & (d1 >= d2)
-        col = np.stack(np.broadcast_arrays(
-            np.where(first, d0, np.where(second, s01, s02)),
-            np.where(first, s01, np.where(second, d1, s12)),
-            np.where(first, s02, np.where(second, s12, d2))), axis=-1)
-        col *= np.where(np.sum(col * w, axis=-1) < 0.0, -1.0, 1.0)[..., None]
-        axis = np.where((y > 1.0)[..., None], col, w)
-        length = np.sqrt(np.sum(axis * axis, axis=-1, keepdims=True))
-        # atan2, as arccos(1 - y) loses about 1e-8 near pi and would miss
-        # modes whose angle is exactly pi
-        phi = np.arctan2(0.5 * w_norm, cos_phi)
+        s1, s2, s3 = (sign * np.sin(h) for h in half)
+        q0 = c1 * c2 * c3 - s1 * s2 * s3
+        v = np.stack(np.broadcast_arrays(
+            c2 * c3 * s1 + c1 * s2 * s3, c1 * c3 * s2 - c2 * s1 * s3,
+            c1 * c2 * s3 + c3 * s1 * s2), axis=-1)
+        v_norm = np.sqrt(np.sum(v * v, axis=-1))
+        # 1 - cos(phi) = 2 |v|^2 and 1 + cos(phi) = 2 q0^2: neither cancels
+        phi = 2.0 * np.arctan2(v_norm, np.abs(q0))
+        # q and -q are the same rotation; taking q0 >= 0 keeps phi <= pi
+        scale = np.where(q0 < 0.0, -1.0, 1.0) / np.where(v_norm == 0.0, 1.0, v_norm)
         out[name] = {
-            "axis": axis / np.where(length == 0.0, 1.0, length),
+            "axis": v * scale[..., None],
             "phase": phi,
             "degenerate": np.minimum(phi, np.pi - phi) < DEGENERACY_MARGIN,
         }

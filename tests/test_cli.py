@@ -1,19 +1,24 @@
 """End-to-end command-line checks: formats, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from bosonwalk import __version__
-from bosonwalk.cli import main
+from bosonwalk.cli import PACKET_FIELDS, main
 from bosonwalk.kernel import surface_table
 
 PACKET = {"kind": "sinc", "n": 16, "k0": [0.4, 0.0, 0.0], "x0": [8, 8, 8],
@@ -255,6 +260,22 @@ def test_propagate_refuses_numbers_it_would_coerce(tmp_path, capsys,
     assert len(err) == 1 and field in err[0]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("width", 10**400),
+    ("k0", [10**400, 0.0, 0.0]),
+    ("x0", [8, 10**400, 8]),
+    ("steps", -10**400),
+])
+def test_propagate_refuses_integers_too_large_for_a_float(tmp_path, capsys,
+                                                         field, value):
+    # float() of a 401-digit JSON integer raised OverflowError, which the
+    # front end reported as a numerical failure (exit 4)
+    packet = write_packet(tmp_path, **{field: value})
+    assert run_cli("propagate", "--packet", packet) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0] and "too large" in err[0]
+
+
 def test_propagate_accepts_integral_floats(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("propagate", "--packet", write_packet(tmp_path),
@@ -384,6 +405,9 @@ def test_bounds_invalid_catalog_is_config_error(tmp_path):
 @pytest.mark.parametrize("record", [
     {"id": "tiny", "kind": "dispersion", "source": "t",
      "e_qg_lower_bound": 1e-320, "liv_order": 1, "sign": 1},
+    # the denominator rounds to 0 and raised ZeroDivisionError: exit 1
+    {"id": "underflow", "kind": "dispersion", "source": "t",
+     "e_qg_lower_bound": 5e-324, "liv_order": 1, "sign": 1},
     {"id": "huge", "kind": "anisotropy", "source": "t",
      "delta_c_over_c": 1e308, "wavelength": 1e308},
 ])
@@ -498,3 +522,123 @@ def test_propagate_deterministic_across_runs(tmp_path):
     assert run_cli("propagate", "--packet", packet, "--out", str(a)) == 0
     assert run_cli("propagate", "--packet", packet, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------------------- fuzzed input files
+
+# JSON values of every type, numbers weighted toward the float range's edges
+# and integers too large for a float; NaN and Infinity are written as the
+# non-standard tokens that json.load accepts
+fuzz_numbers = st.one_of(
+    st.floats(), st.integers(-10, 10),
+    st.sampled_from([10**400, -10**400, 1e308, 1e-320, 5e-324, -0.0]))
+fuzz_values = st.one_of(fuzz_numbers, st.booleans(), st.none(),
+                        st.text(max_size=4), st.lists(st.integers(), max_size=4))
+
+
+# a finite size past these is for a memory estimate to refuse, not the parser
+FUZZ_LIMITS = {"n": 32, "steps": 1000}
+
+
+def _mutated(valid, fields):
+    """Draws of `valid` with up to two of `fields` set to arbitrary values."""
+    changes = st.dictionaries(st.sampled_from(fields), fuzz_values, max_size=2)
+    return st.tuples(valid, changes.filter(lambda c: not any(
+        isinstance(c.get(k), float) and top < c[k] < math.inf
+        for k, top in FUZZ_LIMITS.items()))).map(lambda p: {**p[0], **p[1]})
+
+
+positive_numbers = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([10**400, 1e308, 1e-320, 5e-324]))
+record_fields = ["id", "kind", "source", "e_qg_lower_bound", "liv_order",
+                 "sign", "delta_c_over_c", "wavelength", "extra"]
+valid_records = st.one_of(
+    st.fixed_dictionaries({
+        "id": st.text(min_size=1, max_size=6), "kind": st.just("dispersion"),
+        "source": st.just("fuzz"), "e_qg_lower_bound": positive_numbers,
+        "liv_order": st.sampled_from([1, 2]), "sign": st.sampled_from([1, -1]),
+    }),
+    st.fixed_dictionaries({
+        "id": st.text(min_size=1, max_size=6), "kind": st.just("anisotropy"),
+        "source": st.just("fuzz"), "delta_c_over_c": positive_numbers,
+    }, optional={"wavelength": positive_numbers}))
+# at most one altered record and one stray element, so that most catalogs
+# reach the bound computation
+fuzz_catalogs = st.tuples(
+    st.lists(_mutated(valid_records, record_fields), max_size=1),
+    st.lists(valid_records, max_size=2),
+    st.lists(fuzz_values, max_size=1),
+).map(lambda parts: [record for part in parts for record in part])
+
+fuzz_packets = _mutated(st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.just("sinc"), "n": st.integers(6, 16).map(lambda h: 2 * h),
+        "width": st.sampled_from([2, 4, 6]), "steps": st.integers(1, 1000)}),
+    # the one valid Gaussian width at n <= 32; its window is the whole lattice
+    st.fixed_dictionaries({
+        "kind": st.just("gaussian"), "n": st.just(32),
+        "width": st.just(math.pi / 8), "steps": st.integers(1, 40)}),
+).flatmap(lambda shape: st.fixed_dictionaries({
+    **{key: st.just(value) for key, value in shape.items()},
+    "k0": st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+    "x0": st.lists(st.integers(-40, 40), min_size=3, max_size=3),
+    "helicity": st.sampled_from([0, 1]),
+    "sample_every": st.integers(1, 5),
+})), list(PACKET_FIELDS) + ["extra"])
+
+
+def _run_on_file(payload, argv):
+    """(exit code, stdout, stderr) of main on `payload` written as JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _assert_clean_outcome(code, out, err, fmt):
+    # exit 0 with finite numbers only, or a one-line refusal; an exception
+    # escaping main fails the test, and exit 1 means a failed verification
+    event(f"exit {code}")
+    if code != 0:
+        assert code in (2, 4) and len(err.strip().splitlines()) == 1
+        return
+    assert err == ""
+    if fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        for row in csv.DictReader(io.StringIO(out, newline="")):
+            for column, cell in row.items():
+                # the bounds table leaves the numbers of an unsupported record empty
+                if column not in ("id", "kind", "normalization") and cell:
+                    assert math.isfinite(float(cell)), row
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=fuzz_catalogs, fmt=st.sampled_from(["csv", "json"]),
+       compat=st.booleans())
+def test_property_fuzzed_catalogs_exit_cleanly(records, fmt, compat):
+    argv = ["bounds", "--format", fmt,
+            "--paper-compat" if compat else "--no-paper-compat", "--experiments"]
+    _assert_clean_outcome(*_run_on_file(records, argv), fmt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(packet=fuzz_packets, fmt=st.sampled_from(["csv", "json"]))
+@example(packet={**PACKET, "width": 10**400}, fmt="json")
+@example(packet={**PACKET, "k0": [10**400, 0, 0]}, fmt="csv")
+@example(packet={**PACKET, "x0": [8, 8, 10**400]}, fmt="json")
+def test_property_fuzzed_packets_exit_cleanly(packet, fmt):
+    code, out, err = _run_on_file(
+        packet, ["propagate", "--format", fmt, "--packet"])
+    _assert_clean_outcome(code, out, err, fmt)

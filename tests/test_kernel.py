@@ -17,6 +17,7 @@ from bosonwalk.errors import (
     ZeroMomentumError,
 )
 from bosonwalk.kernel import (
+    BRANCHES,
     ReducedMomentum,
     branch_decomposition,
     branch_projector_grids,
@@ -37,6 +38,7 @@ from bosonwalk.kernel import (
     surface_table,
     velocity_grid,
 )
+from bosonwalk.lattice import Lattice
 
 
 def random_momenta(count, rng, margin=0.15):
@@ -403,11 +405,22 @@ def test_branch_projector_grids_match_scalar():
 
 
 def test_rotation_grids_flag_angles_of_exactly_pi():
-    # arccos(1 - y) puts this angle 2.8e-8 below pi, outside the margin
+    # q0 here is only the rounding of cos(pi/2), so 2 atan2(|v|, |q0|) rounds
+    # to pi itself; an arccos of the cosine lands 2.8e-8 below pi, outside
+    # the margin
     rotations = rotation_grids(0.0, 2 * np.pi / 16, np.pi)
     for name in ("primary", "mirror"):
         assert rotations[name]["phase"] == np.pi
         assert rotations[name]["degenerate"]
+
+
+@pytest.mark.parametrize("n, flagged", [(16, 168), (64, 744)])
+def test_rotation_grids_flag_mode_grid_counts(n, flagged):
+    # every mode whose angle is within the margin of 0 or pi, exact-pi
+    # modes such as (0, 2 pi/16, pi) included
+    rotations = rotation_grids(*Lattice(n).mode_grids())
+    for name in ("primary", "mirror"):
+        assert np.count_nonzero(rotations[name]["degenerate"]) == flagged
 
 
 @pytest.mark.parametrize("names", [("primary",), ("mirror",), ()])
@@ -484,3 +497,19 @@ def test_property_scalar_phase_is_phase_grid_off_the_axes(k):
     for i, row in enumerate(off_axis):
         assert phase(row) == grid[i]
         assert mirror_phase(row) == mirror[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=momentum_batches)
+def test_property_rotation_grids_rebuild_the_kernel_blocks(k):
+    # Rodrigues: R = I + sin(phi) [n]x + (1 - cos(phi)) [n]x^2, at every
+    # mode, degenerate ones included
+    u = kernel_grid(*k.T)
+    for name, rotation in rotation_grids(*k.T).items():
+        n, phi = rotation["axis"], rotation["phase"][:, None, None]
+        cross = np.swapaxes(np.cross(n[:, None, :], np.eye(3)), -1, -2)
+        rebuilt = (np.eye(3) + np.sin(phi) * cross
+                   + (1.0 - np.cos(phi)) * (cross @ cross))
+        offset = dict(BRANCHES)[name]
+        block = u[:, offset:offset + 3, offset:offset + 3]
+        assert np.max(np.abs(rebuilt - block)) <= 1e-14
