@@ -20,6 +20,7 @@ from .errors import (
     CatalogParseError,
     CatalogValidationError,
     DegenerateSpectrumError,
+    MemoryBudgetError,
     MissingWavelengthError,
     PacketSpecError,
     SeriesOutOfRangeError,
@@ -34,6 +35,7 @@ __all__ = [
     "algebra", "anisotropy", "bounds", "kernel", "lattice",
     "WalkError", "ArgumentOutOfRangeError", "BasisMismatchError",
     "CatalogParseError", "CatalogValidationError", "DegenerateSpectrumError",
-    "MissingWavelengthError", "PacketSpecError", "SeriesOutOfRangeError",
-    "UndefinedCentroidError", "UnsupportedOrderError", "ZeroMomentumError",
+    "MemoryBudgetError", "MissingWavelengthError", "PacketSpecError",
+    "SeriesOutOfRangeError", "UndefinedCentroidError", "UnsupportedOrderError",
+    "ZeroMomentumError",
 ]

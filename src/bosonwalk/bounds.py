@@ -279,6 +279,10 @@ def _parse_record(item, index: int) -> ExperimentRecord:
                 raise CatalogParseError(
                     f"{where}: field {key!r} is too large for a float") from None
         kwargs[key] = value
+    if not kwargs["id"].isprintable():
+        # a CSV writer leaves a lone carriage return unquoted
+        raise CatalogParseError(
+            f"{where}: field 'id' holds an unprintable character: {kwargs['id']!r}")
     return ExperimentRecord(**kwargs)
 
 

@@ -40,6 +40,7 @@ from .errors import (
     CatalogParseError,
     CatalogValidationError,
     DegenerateSpectrumError,
+    MemoryBudgetError,
     MissingWavelengthError,
     PacketSpecError,
     SeriesOutOfRangeError,
@@ -59,6 +60,7 @@ _CONFIG_ERRORS = (
     BasisMismatchError,
     CatalogParseError,
     CatalogValidationError,
+    MemoryBudgetError,
     MissingWavelengthError,
     PacketSpecError,
     SeriesOutOfRangeError,

@@ -29,6 +29,10 @@ class PacketSpecError(WalkError):
     """Wave-packet parameters violate the packet constraints."""
 
 
+class MemoryBudgetError(WalkError):
+    """A run's estimated peak memory exceeds the memory it may allocate."""
+
+
 class UndefinedCentroidError(WalkError):
     """The circular resultant is too small to define a centroid."""
 

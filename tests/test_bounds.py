@@ -327,6 +327,18 @@ def test_load_rejects_integer_too_large_for_a_float(tmp_path, capsys):
     assert len(err) == 1 and "too large" in err[0]
 
 
+@pytest.mark.parametrize("record_id", ["a\rb", "a\nb", "tab\there", "\x00", "x\u2028"])
+def test_load_rejects_an_unprintable_id(tmp_path, capsys, record_id):
+    # a lone carriage return was written unquoted and read back as two rows
+    path = write_catalog(tmp_path, [{
+        "id": record_id, "kind": "anisotropy", "source": "t",
+        "delta_c_over_c": 1e-18, "wavelength": 1e-6}])
+    with pytest.raises(CatalogParseError, match="field 'id' holds an unprintable"):
+        load_experiments(path)
+    assert cli_main(["bounds", "--experiments", str(path)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_load_rejects_duplicate_ids(tmp_path):
     rec = {"id": "x", "kind": "anisotropy", "source": "t",
            "delta_c_over_c": 1e-18, "wavelength": 1e-6}

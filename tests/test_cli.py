@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bosonwalk import __version__
+from bosonwalk import __version__, lattice
 from bosonwalk.cli import PACKET_FIELDS, main
 from bosonwalk.kernel import surface_table
 
@@ -209,6 +209,44 @@ def test_propagate_sparse_packet_on_a_large_lattice(tmp_path):
         capture_output=True, text=True, preexec_fn=limit_memory, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 5
+
+
+def test_propagate_narrowest_gaussian_on_a_large_lattice(tmp_path):
+    # sigma = 4 pi/512 is cut to a box of about 50 modes per axis; the uncut
+    # packet needs arrays over all 512^3 modes, past the 1 GiB limit
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    packet = write_packet(tmp_path, kind="gaussian", n=512,
+                          width=4 * math.pi / 512, steps=8, sample_every=2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosonwalk", "propagate", "--packet", packet,
+         "--format", "json"],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["norm_drift"] <= 1e-12
+    assert np.max(np.abs(np.subtract(summary["measured_velocity"],
+                                     summary["predicted_packet_velocity"]))) <= 0.02
+
+
+@pytest.mark.parametrize("overrides, argv, size", [
+    ({"n": 64, "steps": 10**12, "sample_every": 20}, (),
+     "50000000001 trajectory samples"),
+    ({"kind": "gaussian", "width": math.pi / 16}, ("--n", "512"),
+     "a packet window of 389 x 390 x 390 modes"),
+])
+def test_propagate_over_the_memory_budget_is_config_error(
+        tmp_path, monkeypatch, capsys, overrides, argv, size):
+    monkeypatch.setattr(lattice, "_memory_budget", lambda: 1 << 30)
+    packet = write_packet(tmp_path, **overrides)
+    assert run_cli("propagate", "--packet", packet, *argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and size in err[0] and "memory budget" in err[0]
 
 
 def test_propagate_overrides_take_precedence(tmp_path):
@@ -627,10 +665,18 @@ def _assert_clean_outcome(code, out, err, fmt):
 @settings(max_examples=60, deadline=None)
 @given(records=fuzz_catalogs, fmt=st.sampled_from(["csv", "json"]),
        compat=st.booleans())
+@example(records=[{"id": "a\rb", "kind": "anisotropy", "source": "fuzz",
+                   "delta_c_over_c": 1e-18, "wavelength": 1e-6}],
+         fmt="csv", compat=True)
 def test_property_fuzzed_catalogs_exit_cleanly(records, fmt, compat):
     argv = ["bounds", "--format", fmt,
             "--paper-compat" if compat else "--no-paper-compat", "--experiments"]
-    _assert_clean_outcome(*_run_on_file(records, argv), fmt)
+    code, out, err = _run_on_file(records, argv)
+    _assert_clean_outcome(code, out, err, fmt)
+    if code == 0 and fmt == "csv":
+        # whatever an id holds, each record reads back as one row
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) == len(records) + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Lattice states, wave packets, evolution routes, centroid tracking."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from bosonwalk.errors import (
     BasisMismatchError,
     DegenerateSpectrumError,
+    MemoryBudgetError,
     PacketSpecError,
     UndefinedCentroidError,
 )
@@ -17,6 +19,7 @@ from bosonwalk.kernel import (
     BRANCHES,
     ReducedMomentum,
     branch_projector_grids,
+    forward_vector_grids,
     group_velocity_analytic,
     mirror_phase_grid,
     phase,
@@ -43,8 +46,12 @@ from bosonwalk.lattice import (
 )
 from bosonwalk import lattice as lattice_module
 from bosonwalk.lattice import (
+    _BYTES_PER_SAMPLE,
+    _BYTES_PER_WINDOW_MODE,
     _circular_stats,
+    _memory_budget,
     _packet_parts,
+    _packet_support,
     _packet_window,
     _shifted_overlaps,
 )
@@ -623,11 +630,12 @@ def test_gaussian_packet_split_holds_one_block():
 
 # ------------------------------------------------------ support windows
 
-def full_lattice_trajectory(lat, spec, sample_steps):
-    """Positions, spreads and norms of the full-lattice packet, evolved by
-    evolve_spectral and read from its position-space site marginals."""
+def full_lattice_trajectory(lat, spec, sample_steps, packet=None):
+    """Positions, spreads and norms of the full-lattice packet (`packet`
+    when given, else make_wavepacket), evolved by evolve_spectral and read
+    from its position-space site marginals."""
     n = lat.n
-    packet = make_wavepacket(lat, spec)
+    packet = make_wavepacket(lat, spec) if packet is None else packet
     phasor = np.exp(2j * np.pi * np.arange(n) / n)
     positions, spreads, norms = [], [], []
     for t in sample_steps:
@@ -746,3 +754,157 @@ def test_prediction_excludes_modes_at_exactly_pi():
     amp /= np.linalg.norm(amp)
     np.testing.assert_array_equal(
         predicted_state_velocity(LatticeState(lat, "momentum", amp)), 0.0)
+
+
+# ------------------------------------------------------ Gaussian amplitude cut
+
+def uncut_gaussian(lat, spec):
+    """The Gaussian packet on every mode with no amplitude cut: one joint
+    exp over the squared momentum offsets, wrapped to the nearest image."""
+    grids = lat.mode_grids()
+    k0 = ReducedMomentum.wrap(*spec.k0)
+    d2 = sum(((g - c + np.pi) % (2.0 * np.pi) - np.pi) ** 2
+             for g, c in zip(grids, k0.as_array()))
+    plane = np.exp(-1j * sum(g * x for g, x in zip(grids, spec.x0)))
+    u = (forward_vector_grids(*grids, spec.helicity)[0] if spec.per_mode_internal
+         else positive_energy_vector(k0, spec.helicity))
+    amp = (np.exp(-d2 / (4.0 * spec.width**2)) * plane)[..., None] * u
+    return LatticeState(lat, "momentum", amp / np.linalg.norm(amp))
+
+
+BENCHMARK_PACKET = WavePacketSpec(
+    "gaussian", (0.4 / np.sqrt(3.0),) * 3, (21, 50, 3), np.pi / 16)
+
+
+@st.composite
+def cut_gaussian_packets(draw):
+    """Gaussian packets at n = 64 whose centre components include 0 and the
+    zone edge, so that the cut box wraps across index n-1 -> 0 or n/2."""
+    edge = st.sampled_from([0.0, np.pi, -np.pi, np.pi - 0.05])
+    return WavePacketSpec(
+        "gaussian", tuple(draw(st.one_of(edge, st.floats(-np.pi, np.pi)))
+                          for _ in range(3)),
+        tuple(draw(st.integers(0, 63)) for _ in range(3)),
+        draw(st.one_of(st.just(np.pi / 16), st.floats(np.pi / 16, np.pi / 8))),
+        helicity=draw(st.integers(0, 1)), per_mode_internal=draw(st.booleans()))
+
+
+@settings(max_examples=2, deadline=None)
+@given(spec=cut_gaussian_packets())
+@example(spec=BENCHMARK_PACKET)
+@example(spec=WavePacketSpec("gaussian", (np.pi, 0.3, -np.pi), (63, 0, 31),
+                             np.pi / 16, helicity=1, per_mode_internal=True))
+@example(spec=WavePacketSpec("gaussian", (0.0, 0.0, 0.0), (0, 0, 1), 0.375,
+                             per_mode_internal=True))
+def test_property_cut_gaussian_matches_the_uncut_packet(spec):
+    lat = Lattice(64)
+    try:
+        uncut = uncut_gaussian(lat, spec)
+        _packet_parts.cache_clear()
+        mv = measure_group_velocity(lat, spec, 6, 3)
+    except (DegenerateSpectrumError, PacketSpecError):
+        assume(False)  # k0 has no forward mode, or no mode has one
+    positions, spreads, norms = full_lattice_trajectory(
+        lat, spec, mv.trajectory.steps, uncut)
+    offset = (mv.trajectory.positions - positions + 32) % 64 - 32
+    assert np.max(np.abs(offset)) <= 1e-12
+    # a spread is read from the circular resultant exp(-(2 pi s/n)^2 / 2);
+    # the log amplifies the resultant's rounding about 50-fold for these
+    # packets (1.05e-12 in s on the last example, with or without the
+    # cut), so the spreads are compared as resultants
+    np.testing.assert_allclose(*(np.exp(-(2 * np.pi * s / 64) ** 2 / 2)
+                                 for s in (mv.trajectory.spreads, spreads)),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mv.trajectory.norms, norms, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(predicted_packet_velocity(lat, spec),
+                               full_lattice_prediction(uncut), rtol=0, atol=1e-12)
+
+
+def test_benchmark_gaussian_window_and_dropped_probability():
+    lat = Lattice(64)
+    window, _ = _packet_window(lat, BENCHMARK_PACKET)
+    assert [len(w) for w in window] == [49, 49, 49]
+    uncut = uncut_gaussian(lat, BENCHMARK_PACKET).amplitudes
+    cut = make_wavepacket(lat, BENCHMARK_PACKET).amplitudes
+    dropped = np.sum(np.abs(uncut[~np.any(cut != 0, axis=-1)]) ** 2)
+    assert 0 < dropped < 1e-27
+
+
+def test_narrowest_gaussian_window_does_not_grow_with_the_lattice():
+    # sigma = 4 pi/n spans the same number of modes at every n; only the
+    # per-axis factors are built, so no array over the lattice exists
+    lengths = []
+    tracemalloc.start()
+    try:
+        for n in (64, 128, 512):
+            spec = WavePacketSpec("gaussian", (2 * np.pi * 3 / 64, 0.0, -np.pi / 2),
+                                  (0, 0, 0), 4 * np.pi / n)
+            lengths.append([len(w) for w in _packet_support(Lattice(n), spec)[1]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths == [[50, 50, 50]] * 3  # 49 modes with amplitude and a halo
+    assert peak < 1 << 16
+
+
+# ------------------------------------------------------------ memory budget
+
+def test_memory_budget_is_the_smaller_of_the_limit_and_free_memory(monkeypatch):
+    resource = pytest.importorskip("resource")
+    free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (1 << 20, resource.RLIM_INFINITY))
+    assert _memory_budget() == 1 << 20
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (resource.RLIM_INFINITY,) * 2)
+    assert _memory_budget() == pytest.approx(free, rel=0.5)
+
+
+@pytest.mark.parametrize("n, spec, samples", [
+    (32, WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (8, 8, 8), np.pi / 8,
+                        per_mode_internal=True), 41),
+    (64, BENCHMARK_PACKET, 17),
+    (16, WavePacketSpec("sinc", (0.4, 0.0, 0.0), (8, 8, 8), 2), 1001),
+])
+def test_memory_estimate_covers_the_measured_peak(n, spec, samples):
+    lat = Lattice(n)
+    window, _ = _packet_window(lat, spec)
+    estimate = (np.prod([len(w) for w in window]) * _BYTES_PER_WINDOW_MODE
+                + samples * _BYTES_PER_SAMPLE)
+    _packet_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        measure_group_velocity(lat, spec, samples - 1, 1)
+        predicted_packet_velocity(lat, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _packet_parts.cache_clear()
+    assert peak <= estimate
+
+
+def test_over_budget_packet_is_refused_before_allocating(monkeypatch):
+    # the sigma = pi/16 packet at n = 512 spans about 390 modes per axis
+    monkeypatch.setattr(lattice_module, "_memory_budget", lambda: 1 << 30)
+    spec = WavePacketSpec("gaussian", (0.4, 0.0, 0.0), (0, 0, 0), np.pi / 16)
+    _packet_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError,
+                           match="^a packet window of 389 x 390 x 390 modes "
+                                 "would need about 2.*GiB, over the 1 GiB"):
+            measure_group_velocity(Lattice(512), spec, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_over_budget_sample_count_is_refused_before_the_packet(monkeypatch):
+    monkeypatch.setattr(lattice_module, "_memory_budget", lambda: 1 << 30)
+    monkeypatch.setattr(lattice_module, "_packet_window", None)  # never reached
+    spec = WavePacketSpec("sinc", (0.4, 0.0, 0.0), (0, 0, 0), 2)
+    _packet_parts.cache_clear()
+    with pytest.raises(MemoryBudgetError,
+                       match="^50000000001 trajectory samples would need"):
+        measure_group_velocity(Lattice(64), spec, 10**12, 20)
