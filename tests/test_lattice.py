@@ -849,15 +849,19 @@ def test_narrowest_gaussian_window_does_not_grow_with_the_lattice():
 
 # ------------------------------------------------------------ memory budget
 
-def test_memory_budget_is_the_smaller_of_the_limit_and_free_memory(monkeypatch):
+@pytest.mark.parametrize("soft, budget", [
+    (1 << 20, 1 << 20), (1 << 30, 3000 * 4096), (None, 3000 * 4096)])
+def test_memory_budget_is_the_smaller_of_the_limit_and_free_memory(
+        monkeypatch, soft, budget):
     resource = pytest.importorskip("resource")
-    free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if "SC_AVPHYS_PAGES" not in os.sysconf_names:
+        pytest.skip("no free-page count on this platform")
+    pages = {"SC_AVPHYS_PAGES": 3000, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    soft = resource.RLIM_INFINITY if soft is None else soft
     monkeypatch.setattr(resource, "getrlimit",
-                        lambda which: (1 << 20, resource.RLIM_INFINITY))
-    assert _memory_budget() == 1 << 20
-    monkeypatch.setattr(resource, "getrlimit",
-                        lambda which: (resource.RLIM_INFINITY,) * 2)
-    assert _memory_budget() == pytest.approx(free, rel=0.5)
+                        lambda which: (soft, resource.RLIM_INFINITY))
+    assert _memory_budget() == budget
 
 
 @pytest.mark.parametrize("n, spec, samples", [
