@@ -11,9 +11,10 @@ Submodules:
 - cli:        command-line interface (surface/propagate/anisotropy/bounds/verify)
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import algebra, anisotropy, bounds, kernel, lattice
 from .errors import (
     ArgumentOutOfRangeError,
     BasisMismatchError,
@@ -39,3 +40,13 @@ __all__ = [
     "SeriesOutOfRangeError", "UndefinedCentroidError", "UnsupportedOrderError",
     "ZeroMomentumError",
 ]
+
+_SUBMODULES = ("algebra", "anisotropy", "bounds", "kernel", "lattice")
+
+
+def __getattr__(name):
+    # the submodules load numpy, so a bare `import bosonwalk` imports them
+    # on first access (PEP 562); the CLI pins BLAS threads before that
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,9 @@ anisotropy (direction map and stats), bounds (constraint catalog), and
 verify (invariant suite).  Long-form flags only; CSV numbers carry 17
 significant digits; outputs are byte-identical for a given configuration
 and seed.  Only verify takes --seed; surface and propagate accept
---threads for compatibility, and it has no effect.
+--threads for compatibility, and it has no effect: every run is one
+process with one BLAS thread, unless OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS is set.
 
 Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 3 I/O failure, 4 numerical failure (degenerate spectrum and similar).
@@ -22,11 +24,19 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+# Each run is one short single-threaded process, so BLAS gets one thread
+# unless the user set a count.  OpenBLAS sizes its pool when numpy loads;
+# after that a variable set here would name a pool size not in force.
+if "numpy" not in sys.modules:
+    for _blas_var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                      "MKL_NUM_THREADS"):
+        os.environ.setdefault(_blas_var, "1")
 
-from . import __version__, kernel, lattice, verify
-from .anisotropy import anisotropy_map, sphere_stats
-from .bounds import (
+import numpy as np  # noqa: E402
+
+from . import __version__, kernel, lattice, verify  # noqa: E402
+from .anisotropy import anisotropy_map, sphere_stats  # noqa: E402
+from .bounds import (  # noqa: E402
     BoundResult,
     CatalogOptions,
     PhysicalConstants,
@@ -34,7 +44,7 @@ from .bounds import (
     load_experiments,
     run_catalog,
 )
-from .errors import (
+from .errors import (  # noqa: E402
     ArgumentOutOfRangeError,
     BasisMismatchError,
     CatalogParseError,
@@ -78,6 +88,12 @@ _NUMERICAL_ERRORS = (
 PACKET_FIELDS = ("kind", "n", "k0", "x0", "width", "helicity",
                  "steps", "sample_every")
 
+# tracemalloc peaks per grid point with about twofold margin: the surface
+# (m^3 points, np.unique's copies and the distinct-value strings) and the
+# anisotropy map or statistics (m^2 points, the text or the doubled grid)
+_SURFACE_BYTES_PER_POINT = 1024
+_ANISOTROPY_BYTES_PER_POINT = 512
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -89,6 +105,22 @@ def _version_text() -> str:
     for name, value in c.as_dict().items():
         lines.append(f"  {name} = {value!r}")
     return "\n".join(lines)
+
+
+class _VersionAction(argparse.Action):
+    """--version: the version text as argparse lays it out for an
+    80-column terminal (78 columns of text), whatever the terminal's
+    width; perfbench's reference outputs pin its first line."""
+
+    def __init__(self, option_strings, dest, help=None):
+        super().__init__(option_strings, dest=argparse.SUPPRESS,
+                         default=argparse.SUPPRESS, nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        formatter = argparse.HelpFormatter(parser.prog, width=78)
+        formatter.add_text(_version_text())
+        sys.stdout.write(formatter.format_help())
+        parser.exit()
 
 
 def _write_output(path, chunks) -> None:
@@ -163,6 +195,8 @@ def cmd_surface(args) -> int:
     m = args.grid
     if not 2 <= m <= 512:
         raise ArgumentOutOfRangeError(f"--grid {m} outside [2, 512]")
+    lattice._refuse_over_budget(m**3 * _SURFACE_BYTES_PER_POINT,
+                                f"a surface of {m}^3 points")
     _write_output(args.out, _surface_chunks(m, args.format))
     return EXIT_OK
 
@@ -263,6 +297,8 @@ def cmd_propagate(args) -> int:
 
 def cmd_anisotropy(args) -> int:
     m = args.grid
+    lattice._refuse_over_budget(m * m * _ANISOTROPY_BYTES_PER_POINT,
+                                f"an anisotropy grid of {m}^2 points")
     if args.format == "csv":
         theta, phi, s = anisotropy_map(m, m)
         lines = ["theta,phi,s"]
@@ -336,6 +372,8 @@ def cmd_bounds(args) -> int:
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ArgumentOutOfRangeError(f"--seed {args.seed} is negative")
     report = verify.run_all_checks(seed=args.seed)
     lines = []
     for c in report.checks:
@@ -380,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bosonwalk",
         description="Quantum-walk dispersion surfaces, packet propagation, "
                     "anisotropy maps, and lattice-spacing bounds.")
-    parser.add_argument("--version", action="version",
-                        version=_version_text())
+    parser.add_argument("--version", action=_VersionAction,
+                        help="show program's version number and exit")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     surface = subs.add_parser(
@@ -403,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     propagate.set_defaults(func=cmd_propagate)
     for sub in (surface, propagate):
         sub.add_argument("--threads", type=int, default=1, metavar="N",
-                         help="accepted for compatibility; single-threaded")
+                         help="accepted for compatibility; no effect "
+                              "(one BLAS thread)")
 
     aniso = subs.add_parser(
         "anisotropy", help="direction-dependence map or sphere statistics")

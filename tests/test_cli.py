@@ -347,6 +347,43 @@ def test_anisotropy_stats_json(tmp_path):
     assert np.isclose(st["argmax"]["phi"], math.pi / 4, atol=1e-8)
 
 
+@pytest.mark.parametrize("argv, size", [
+    (("surface", "--grid", "16"), "a surface of 16^3 points"),
+    (("anisotropy", "--grid", "64", "--format", "json"),
+     "an anisotropy grid of 64^2 points"),
+    (("anisotropy", "--grid", "64", "--format", "csv"),
+     "an anisotropy grid of 64^2 points"),
+])
+def test_grid_over_the_memory_budget_is_config_error(monkeypatch, capsys,
+                                                     argv, size):
+    # a 1 MiB budget refuses grids that would run in milliseconds
+    monkeypatch.setattr(lattice, "_memory_budget", lambda: 1 << 20)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and size in err[0] and "memory budget" in err[0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, sizes", [
+    ("surface", (16, 32)), ("anisotropy", (128, 256))])
+def test_grid_memory_estimate_covers_the_traced_peak(
+        tmp_path, monkeypatch, command, sizes, fmt):
+    estimates = []
+    monkeypatch.setattr(lattice, "_refuse_over_budget",
+                        lambda estimate, what: estimates.append(estimate))
+    for m in sizes:
+        tracemalloc.start()
+        try:
+            assert run_cli(command, "--grid", str(m), "--format", fmt,
+                           "--out", str(tmp_path / "out")) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert estimates.pop() >= peak
+
+
 def test_anisotropy_grid_too_coarse():
     assert run_cli("anisotropy", "--grid", "8", "--format", "json") == 2
 
@@ -520,6 +557,29 @@ def test_version_lists_constants():
     assert __version__ in proc.stdout
     assert "hbar_c" in proc.stdout and "1.973269804e-16" in proc.stdout
     assert "planck_length" in proc.stdout
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_version_text_ignores_the_terminal_width(columns):
+    # argparse's version action used to rewrap the text to the terminal
+    def version(**env):
+        environ = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosonwalk", "--version"],
+            capture_output=True, text=True, env={**environ, **env})
+        assert proc.returncode == 0
+        return proc.stdout
+
+    assert version(COLUMNS=columns) == version()
+
+
+def test_verify_negative_seed_is_config_error(capsys):
+    # numpy used to refuse it with a reason that named no flag
+    assert run_cli("verify", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "--seed -1" in err[0]
 
 
 def test_unknown_subcommand_exits_2():
