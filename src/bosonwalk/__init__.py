@@ -7,6 +7,7 @@ Submodules:
 - lattice:    periodic-lattice states, wave packets, evolution, centroids
 - anisotropy: direction dependence of the propagation speed on the sphere
 - bounds:     observational constraints converted to lattice-spacing bounds
+- budget:     the memory budget oversized runs are refused by
 - verify:     named invariant checks spanning all of the above
 - cli:        command-line interface (surface/propagate/anisotropy/bounds/verify)
 """

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX  # noqa: F401
 from .errors import ArgumentOutOfRangeError, SeriesOutOfRangeError
 
-RMS_UNIT_AVERAGE = 1.0 / math.sqrt(105.0)
-RMS_SOLID_ANGLE = math.sqrt(4.0 * math.pi / 105.0)
 MAX_VALUE = 1.0 / (3.0 * math.sqrt(3.0))
-SPREAD_MAX = 2.0 / (3.0 * math.sqrt(3.0))
 
 
 @dataclass(frozen=True)

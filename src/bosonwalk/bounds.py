@@ -22,7 +22,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
-from .anisotropy import RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX
 from .errors import (
     ArgumentOutOfRangeError,
     CatalogParseError,
@@ -33,6 +32,13 @@ from .errors import (
 
 DISPERSION = "dispersion"
 ANISOTROPY = "anisotropy"
+
+# closed forms of the direction factor s on the sphere (see anisotropy):
+# its RMS under dOmega / 4 pi and under dOmega, and max s - min s; kept
+# here so that the bound calculator runs without numpy
+RMS_UNIT_AVERAGE = 1.0 / math.sqrt(105.0)
+RMS_SOLID_ANGLE = math.sqrt(4.0 * math.pi / 105.0)
+SPREAD_MAX = 2.0 / (3.0 * math.sqrt(3.0))
 
 NORMALIZATIONS = {
     "paper_rms": RMS_SOLID_ANGLE,

@@ -1,0 +1,42 @@
+"""The memory budget: refuse a run before it allocates what it cannot have.
+
+Only the standard library is imported here, so a command can refuse an
+oversized run without loading numpy.
+"""
+
+import math
+import os
+
+try:
+    import resource
+except ImportError:  # no resource limits on this platform
+    resource = None
+
+from .errors import MemoryBudgetError
+
+# tracemalloc peaks with about twofold margin, in bytes per
+_SURFACE_BYTES_PER_POINT = 1024    # surface point: np.unique's copies, strings
+_ANISOTROPY_BYTES_PER_POINT = 512  # anisotropy point: text or doubled grid
+_BYTES_PER_WINDOW_MODE = 512       # packet mode: build, split, sample, predict
+_BYTES_PER_SAMPLE = 1024           # trajectory sample
+
+
+def _memory_budget() -> float:
+    """Bytes a run may allocate: the smaller of the address-space soft limit
+    and the physical memory available."""
+    budget = math.inf
+    if "SC_AVPHYS_PAGES" in os.sysconf_names:
+        budget = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            budget = min(budget, soft)
+    return budget
+
+
+def _refuse_over_budget(estimate: float, what: str) -> None:
+    budget = _memory_budget()
+    if estimate > budget:
+        raise MemoryBudgetError(
+            f"{what} would need about {estimate / 2**30:.3g} GiB, over the "
+            f"{budget / 2**30:.3g} GiB memory budget")

@@ -7,7 +7,9 @@ significant digits; outputs are byte-identical for a given configuration
 and seed.  Only verify takes --seed; surface and propagate accept
 --threads for compatibility, and it has no effect: every run is one
 process with one BLAS thread, unless OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS is set.
+OMP_NUM_THREADS or MKL_NUM_THREADS is set.  Each command imports what it
+runs when it runs: --version and bounds load no numpy, and every command
+that does loads it after the BLAS pin below.
 
 Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 3 I/O failure, 4 numerical failure (degenerate spectrum and similar).
@@ -23,19 +25,18 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 # Each run is one short single-threaded process, so BLAS gets one thread
-# unless the user set a count.  OpenBLAS sizes its pool when numpy loads;
-# after that a variable set here would name a pool size not in force.
+# unless the user set a count.  OpenBLAS sizes its pool when numpy loads,
+# here inside the commands that use it; once numpy is loaded, a variable
+# set here would name a pool size not in force.
 if "numpy" not in sys.modules:
     for _blas_var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                       "MKL_NUM_THREADS"):
         os.environ.setdefault(_blas_var, "1")
 
-import numpy as np  # noqa: E402
-
-from . import __version__, kernel, lattice, verify  # noqa: E402
-from .anisotropy import anisotropy_map, sphere_stats  # noqa: E402
+from . import __version__, budget  # noqa: E402
 from .bounds import (  # noqa: E402
     BoundResult,
     CatalogOptions,
@@ -81,18 +82,11 @@ _NUMERICAL_ERRORS = (
     DegenerateSpectrumError,
     UndefinedCentroidError,
     ZeroMomentumError,
-    np.linalg.LinAlgError,
     OverflowError,  # a finite input whose result leaves the float range
 )
 
 PACKET_FIELDS = ("kind", "n", "k0", "x0", "width", "helicity",
                  "steps", "sample_every")
-
-# tracemalloc peaks per grid point with about twofold margin: the surface
-# (m^3 points, np.unique's copies and the distinct-value strings) and the
-# anisotropy map or statistics (m^2 points, the text or the doubled grid)
-_SURFACE_BYTES_PER_POINT = 1024
-_ANISOTROPY_BYTES_PER_POINT = 512
 
 
 def _fmt(value: float) -> str:
@@ -119,17 +113,27 @@ class _VersionAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         formatter = argparse.HelpFormatter(parser.prog, width=78)
         formatter.add_text(_version_text())
-        sys.stdout.write(formatter.format_help())
+        _stdout().write(formatter.format_help())
         parser.exit()
+
+
+def _stdout():
+    """sys.stdout; an OSError when the process started with it closed."""
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    return sys.stdout
 
 
 def _write_output(path, chunks) -> None:
     """Atomically replace `path` with the text chunks; stdout when None."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        _stdout().writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bosonwalk-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bosonwalk-")
+    except OSError as exc:  # name the user's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
@@ -151,6 +155,8 @@ def _surface_chunks(m: int, fmt: str):
     told apart by bit pattern so that 0.0 and -0.0 keep their own text;
     every cell is an index into those strings.
     """
+    import numpy as np
+    from . import kernel
     values = ("phase", "vx", "vy", "vz", "speed")
     if fmt == "csv":
         keys = ("kx", "ky", "kz", *values, "degenerate")
@@ -195,8 +201,8 @@ def cmd_surface(args) -> int:
     m = args.grid
     if not 2 <= m <= 512:
         raise ArgumentOutOfRangeError(f"--grid {m} outside [2, 512]")
-    lattice._refuse_over_budget(m**3 * _SURFACE_BYTES_PER_POINT,
-                                f"a surface of {m}^3 points")
+    budget._refuse_over_budget(m**3 * budget._SURFACE_BYTES_PER_POINT,
+                               f"a surface of {m}^3 points")
     _write_output(args.out, _surface_chunks(m, args.format))
     return EXIT_OK
 
@@ -244,6 +250,8 @@ def _packet_triple(field: str, value, integral: bool = False) -> tuple:
 
 
 def cmd_propagate(args) -> int:
+    import numpy as np
+    from . import kernel, lattice
     raw = _load_packet_config(args.packet)
     n = args.n if args.n is not None else _packet_number("n", raw["n"], True)
     steps = (args.steps if args.steps is not None
@@ -296,9 +304,10 @@ def cmd_propagate(args) -> int:
 # --------------------------------------------------------------- anisotropy
 
 def cmd_anisotropy(args) -> int:
+    from .anisotropy import anisotropy_map, sphere_stats
     m = args.grid
-    lattice._refuse_over_budget(m * m * _ANISOTROPY_BYTES_PER_POINT,
-                                f"an anisotropy grid of {m}^2 points")
+    budget._refuse_over_budget(m * m * budget._ANISOTROPY_BYTES_PER_POINT,
+                               f"an anisotropy grid of {m}^2 points")
     if args.format == "csv":
         theta, phi, s = anisotropy_map(m, m)
         lines = ["theta,phi,s"]
@@ -306,21 +315,8 @@ def cmd_anisotropy(args) -> int:
                   for t, p, v in zip(theta, phi, s)]
         text = "\n".join(lines) + "\n"
     else:
-        st = sphere_stats(m, m)
-        payload = {
-            "mean": st.mean,
-            "rms_unit_average": st.rms_unit_average,
-            "rms_paper_normalization": st.rms_paper_normalization,
-            "min": st.min,
-            "max": st.max,
-            "argmax": {"theta": st.argmax.theta, "phi": st.argmax.phi},
-            "argmin": {"theta": st.argmin.theta, "phi": st.argmin.phi},
-            "spread": st.spread,
-            "quadrature_error_estimate": st.quadrature_error_estimate,
-            "n_theta": st.n_theta,
-            "n_phi": st.n_phi,
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(asdict(sphere_stats(m, m)), indent=2,
+                          allow_nan=False) + "\n"
     _write_output(args.out, [text])
     return EXIT_OK
 
@@ -345,25 +341,9 @@ def cmd_bounds(args) -> int:
                              *bound])
         text = buffer.getvalue()
     else:
-        payload = []
-        for e in entries:
-            if isinstance(e, BoundResult):
-                payload.append({
-                    "experiment_id": e.experiment_id,
-                    "delta_x_upper_bound": e.delta_x_upper_bound,
-                    "ratio_to_planck": e.ratio_to_planck,
-                    "normalization_used": e.normalization_used,
-                    "alternate_delta_x_upper_bound":
-                        e.alternate_delta_x_upper_bound,
-                    "note": e.note,
-                    "inputs_echo": e.inputs_echo,
-                })
-            else:
-                payload.append({
-                    "experiment_id": e.experiment_id,
-                    "note": e.note,
-                    "inputs_echo": e.inputs_echo,
-                })
+        payload = [e.as_dict() for e in entries]
+        for item in payload:  # the echo goes last
+            item["inputs_echo"] = item.pop("inputs_echo")
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     _write_output(args.out, [text])
     return EXIT_OK
@@ -372,6 +352,7 @@ def cmd_bounds(args) -> int:
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
+    from . import verify
     if args.seed < 0:
         raise ArgumentOutOfRangeError(f"--seed {args.seed} is negative")
     report = verify.run_all_checks(seed=args.seed)
@@ -399,7 +380,7 @@ def cmd_verify(args) -> int:
         }
         text_json = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         _write_output(args.out, [text_json])
-        sys.stdout.write(text)
+        _stdout().write(text)
     else:
         _write_output(args.out, [text])
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -472,12 +453,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple:
+    # numpy's LinAlgError subclasses ValueError, a configuration error, so it
+    # is named here; while numpy is not loaded, none can have been raised
+    numpy = sys.modules.get("numpy")
+    return _NUMERICAL_ERRORS + ((numpy.linalg.LinAlgError,) if numpy else ())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+    try:  # --version writes while the arguments are parsed
+        args = parser.parse_args(argv)
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except _numerical_errors() as exc:
         print(f"bosonwalk: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _CONFIG_ERRORS as exc:

@@ -26,20 +26,14 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    import resource
-except ImportError:  # no resource limits on this platform
-    resource = None
-
+from . import budget
 from .algebra import Axis, build_projectors
 from .errors import (
     BasisMismatchError,
-    MemoryBudgetError,
     PacketSpecError,
     UndefinedCentroidError,
 )
@@ -60,32 +54,6 @@ _TRIPLES = tuple(build_projectors(a) for a in Axis)
 
 # packet amplitude factors below this fraction of their peak are dropped
 AMPLITUDE_CUT = 1e-16
-
-# tracemalloc peaks of a propagation with about twofold margin: per window
-# mode (packet build and split, one sample, the prediction), and per sample
-_BYTES_PER_WINDOW_MODE = 512
-_BYTES_PER_SAMPLE = 1024
-
-
-def _memory_budget() -> float:
-    """Bytes a run may allocate: the smaller of the address-space soft limit
-    and the physical memory available."""
-    budget = math.inf
-    if "SC_AVPHYS_PAGES" in os.sysconf_names:
-        budget = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if resource is not None:
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if soft != resource.RLIM_INFINITY:
-            budget = min(budget, soft)
-    return budget
-
-
-def _refuse_over_budget(estimate: float, what: str) -> None:
-    budget = _memory_budget()
-    if estimate > budget:
-        raise MemoryBudgetError(
-            f"{what} would need about {estimate / 2**30:.3g} GiB, over the "
-            f"{budget / 2**30:.3g} GiB memory budget")
 
 
 @dataclass(frozen=True)
@@ -264,8 +232,9 @@ def _packet_window(lattice: Lattice, spec: WavePacketSpec):
     normalized momentum amplitudes there, shape (w0, w1, w2, 6)."""
     k0, window, factors = _packet_support(lattice, spec)
     shape = tuple(map(len, window))
-    _refuse_over_budget(math.prod(shape) * _BYTES_PER_WINDOW_MODE,
-                        "a packet window of {} x {} x {} modes".format(*shape))
+    budget._refuse_over_budget(
+        math.prod(shape) * budget._BYTES_PER_WINDOW_MODE,
+        "a packet window of {} x {} x {} modes".format(*shape))
     weights = functools.reduce(np.multiply, np.ix_(*factors))
     kxg, kyg, kzg = grids = lattice.mode_grids(window)
 
@@ -452,7 +421,8 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     if steps < sample_every:
         raise ValueError("need at least one sampling interval")
     samples = steps // sample_every + 1
-    _refuse_over_budget(samples * _BYTES_PER_SAMPLE, f"{samples} trajectory samples")
+    budget._refuse_over_budget(samples * budget._BYTES_PER_SAMPLE,
+                               f"{samples} trajectory samples")
 
     _, parts = _packet_parts(lattice, spec)
     # per block, exp(i t phi) at the current sample t and its step per sample

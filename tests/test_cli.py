@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bosonwalk import __version__, lattice
+from bosonwalk import __version__, budget
 from bosonwalk.cli import PACKET_FIELDS, main
 from bosonwalk.kernel import surface_table
 
@@ -242,7 +242,7 @@ def test_propagate_narrowest_gaussian_on_a_large_lattice(tmp_path):
 ])
 def test_propagate_over_the_memory_budget_is_config_error(
         tmp_path, monkeypatch, capsys, overrides, argv, size):
-    monkeypatch.setattr(lattice, "_memory_budget", lambda: 1 << 30)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 1 << 30)
     packet = write_packet(tmp_path, **overrides)
     assert run_cli("propagate", "--packet", packet, *argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -345,6 +345,11 @@ def test_anisotropy_stats_json(tmp_path):
     assert np.isclose(st["rms_unit_average"], 1 / math.sqrt(105), atol=1e-10)
     assert np.isclose(st["spread"], 2 / (3 * math.sqrt(3)), atol=1e-9)
     assert np.isclose(st["argmax"]["phi"], math.pi / 4, atol=1e-8)
+    # the field order of SphereStats, which the JSON text follows
+    assert list(st) == ["mean", "rms_unit_average", "rms_paper_normalization",
+                        "min", "max", "argmax", "argmin", "spread",
+                        "quadrature_error_estimate", "n_theta", "n_phi"]
+    assert list(st["argmax"]) == list(st["argmin"]) == ["theta", "phi"]
 
 
 @pytest.mark.parametrize("argv, size", [
@@ -357,7 +362,7 @@ def test_anisotropy_stats_json(tmp_path):
 def test_grid_over_the_memory_budget_is_config_error(monkeypatch, capsys,
                                                      argv, size):
     # a 1 MiB budget refuses grids that would run in milliseconds
-    monkeypatch.setattr(lattice, "_memory_budget", lambda: 1 << 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 1 << 20)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -371,7 +376,7 @@ def test_grid_over_the_memory_budget_is_config_error(monkeypatch, capsys,
 def test_grid_memory_estimate_covers_the_traced_peak(
         tmp_path, monkeypatch, command, sizes, fmt):
     estimates = []
-    monkeypatch.setattr(lattice, "_refuse_over_budget",
+    monkeypatch.setattr(budget, "_refuse_over_budget",
                         lambda estimate, what: estimates.append(estimate))
     for m in sizes:
         tracemalloc.start()
@@ -426,6 +431,12 @@ def test_bounds_json_round_trip(tmp_path):
     for e in numeric:
         echoed = e["inputs_echo"]["record"]
         assert echoed["id"] == e["experiment_id"]
+    # the field order of BoundResult and UnsupportedEntry, the echo last
+    assert list(entries[0]) == [
+        "experiment_id", "delta_x_upper_bound", "ratio_to_planck",
+        "normalization_used", "alternate_delta_x_upper_bound", "note",
+        "inputs_echo"]
+    assert list(entries[-1]) == ["experiment_id", "note", "inputs_echo"]
 
 
 def test_bounds_paper_compat_toggle(tmp_path):
@@ -571,6 +582,43 @@ def test_version_text_ignores_the_terminal_width(columns):
         return proc.stdout
 
     assert version(COLUMNS=columns) == version()
+
+
+def test_linalg_error_is_numerical_error(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, which alone would make it exit 2
+    from bosonwalk import anisotropy
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(anisotropy, "sphere_stats", singular)
+    assert run_cli("anisotropy", "--format", "json") == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "numerical failure: Singular matrix" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds"], ["verify", "--format", "csv"], ["--version"],
+    ["verify", "--out", "{tmp}/report.json"],  # the summary line on stdout
+])
+def test_closed_stdout_is_io_error(capsys, monkeypatch, tmp_path, argv):
+    # a process started with stdout closed has sys.stdout None; writing to
+    # it used to end in an AttributeError traceback and exit 1
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["bosonwalk: I/O error: standard output is closed"]
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["surface", "--grid", "4"]])
+def test_out_into_a_missing_directory_names_the_given_path(capsys, tmp_path,
+                                                           argv):
+    # the message used to name the temporary file made beside the output
+    out = str(tmp_path / "missing" / "x.csv")
+    assert run_cli(*argv, "--out", out) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and out in err[0] and ".bosonwalk-" not in err[0]
+    assert not (tmp_path / "missing").exists()
 
 
 def test_verify_negative_seed_is_config_error(capsys):

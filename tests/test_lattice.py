@@ -44,12 +44,15 @@ from bosonwalk.lattice import (
     to_momentum,
     to_position,
 )
+from bosonwalk import budget
 from bosonwalk import lattice as lattice_module
-from bosonwalk.lattice import (
+from bosonwalk.budget import (
     _BYTES_PER_SAMPLE,
     _BYTES_PER_WINDOW_MODE,
-    _circular_stats,
     _memory_budget,
+)
+from bosonwalk.lattice import (
+    _circular_stats,
     _packet_parts,
     _packet_support,
     _packet_window,
@@ -889,7 +892,7 @@ def test_memory_estimate_covers_the_measured_peak(n, spec, samples):
 
 def test_over_budget_packet_is_refused_before_allocating(monkeypatch):
     # the sigma = pi/16 packet at n = 512 spans about 390 modes per axis
-    monkeypatch.setattr(lattice_module, "_memory_budget", lambda: 1 << 30)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 1 << 30)
     spec = WavePacketSpec("gaussian", (0.4, 0.0, 0.0), (0, 0, 0), np.pi / 16)
     _packet_parts.cache_clear()
     tracemalloc.start()
@@ -905,7 +908,7 @@ def test_over_budget_packet_is_refused_before_allocating(monkeypatch):
 
 
 def test_over_budget_sample_count_is_refused_before_the_packet(monkeypatch):
-    monkeypatch.setattr(lattice_module, "_memory_budget", lambda: 1 << 30)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 1 << 30)
     monkeypatch.setattr(lattice_module, "_packet_window", None)  # never reached
     spec = WavePacketSpec("sinc", (0.4, 0.0, 0.0), (0, 0, 0), 2)
     _packet_parts.cache_clear()

@@ -65,6 +65,47 @@ def test_cli_sets_nothing_once_numpy_is_loaded():
     assert blas == [None, None, None]
 
 
+# main on the argv filled in for %r, stdout discarded; prints the exit
+# code, whether numpy loaded, and the thread count
+RUN_PROBE = """
+import contextlib, io, json, sys
+from bosonwalk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(%r)
+    except SystemExit as exc:  # --version leaves through argparse
+        code = exc.code
+try:
+    with open("/proc/self/status") as status:
+        threads = int(status.read().split("Threads:")[1].split()[0])
+except OSError:
+    threads = None
+print(json.dumps([code, "numpy" in sys.modules, threads]))
+"""
+
+
+@pytest.mark.parametrize("name", ["bounds", "cli"])
+def test_import_loads_no_numpy(name):
+    assert fresh(f"import json, sys\nimport bosonwalk.{name}\n"
+                 "print(json.dumps('numpy' in sys.modules))") is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"], ["bounds", "--format", "json"], ["bounds", "--format", "csv"]])
+def test_version_and_bounds_run_without_numpy(argv):
+    code, numpy_loaded, _ = fresh(RUN_PROBE % (argv,))
+    assert (code, numpy_loaded) == (0, False)
+
+
+def test_a_command_that_loads_numpy_runs_one_thread():
+    argv = ["anisotropy", "--grid", "16", "--format", "json"]
+    code, numpy_loaded, threads = fresh(RUN_PROBE % (argv,))
+    assert (code, numpy_loaded) == (0, True)
+    if threads is None:
+        pytest.skip("no /proc/self/status to count threads")
+    assert threads == 1
+
+
 def test_submodules_load_on_first_access():
     seen = fresh("import json\nimport bosonwalk\n"
                  "table = bosonwalk.kernel.surface_table(2)\n"
