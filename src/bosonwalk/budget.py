@@ -17,7 +17,8 @@ from .errors import MemoryBudgetError
 # tracemalloc peaks with about twofold margin, in bytes per
 _SURFACE_BYTES_PER_POINT = 1024    # surface point: np.unique's copies, strings
 _ANISOTROPY_BYTES_PER_POINT = 512  # anisotropy point: text or doubled grid
-_BYTES_PER_WINDOW_MODE = 512       # packet mode: build, split, sample, predict
+_BYTES_PER_AXIS_MODE = 128         # lattice axis mode: 41 in per-axis arrays
+_BYTES_PER_WINDOW_MODE = 512       # packet mode: 242, or 346 per-mode internal
 _BYTES_PER_SAMPLE = 1024           # trajectory sample
 
 

@@ -106,9 +106,9 @@ def _versine_args(kx, ky, kz):
     argument is assembled from half-angle versines 1 - cos k = 2 sin^2(k/2),
     which keeps full relative accuracy down to the zone centre.
     """
-    wa = 2.0 * np.sin(0.5 * np.asarray(kx, float)) ** 2
-    wb = 2.0 * np.sin(0.5 * np.asarray(ky, float)) ** 2
-    wc = 2.0 * np.sin(0.5 * np.asarray(kz, float)) ** 2
+    # np.square: a float64 scalar's ** 2 calls pow, which can round differently
+    wa, wb, wc = (2.0 * np.square(np.sin(0.5 * np.asarray(k, float)))
+                  for k in (kx, ky, kz))
     odd = np.sin(kx) * np.sin(ky) * np.sin(kz)
     even = wa + wb + wc - 0.5 * (wa * wb + wa * wc + wb * wc)
     return even - 0.5 * odd, even + 0.5 * odd
@@ -494,13 +494,9 @@ def surface_table(resolution: int) -> dict[str, np.ndarray]:
     if not 2 <= resolution <= 512:
         raise ArgumentOutOfRangeError(
             f"resolution {resolution!r} outside [2, 512]")
-    axis_vals = np.linspace(-math.pi, math.pi, resolution)
-    kx, ky, kz = np.meshgrid(axis_vals, axis_vals, axis_vals, indexing="ij")
-    kx, ky, kz = kx.ravel(), ky.ravel(), kz.ravel()
-    phi = phase_grid(kx, ky, kz)
-    vx, vy, vz, speed, degenerate = velocity_grid(kx, ky, kz)
-    return {
-        "kx": kx, "ky": ky, "kz": kz, "phase": phi,
-        "vx": vx, "vy": vy, "vz": vz, "speed": speed,
-        "degenerate": degenerate,
-    }
+    # on open axes each sine and cosine is taken m times, not m^3
+    grids = np.ix_(*[np.linspace(-math.pi, math.pi, resolution)] * 3)
+    columns = (*np.broadcast_arrays(*grids), phase_grid(*grids),
+               *velocity_grid(*grids))
+    keys = ("kx", "ky", "kz", "phase", "vx", "vy", "vz", "speed", "degenerate")
+    return {key: column.ravel() for key, column in zip(keys, columns)}

@@ -796,3 +796,43 @@ def test_property_fuzzed_packets_exit_cleanly(packet, fmt):
     code, out, err = _run_on_file(
         packet, ["propagate", "--format", fmt, "--packet"])
     _assert_clean_outcome(code, out, err, fmt)
+
+
+# --n and --steps bypass the packet file's checks: negative, odd, zero, and
+# sizes whose per-axis arrays alone would not fit in memory
+fuzz_sizes = st.one_of(
+    st.integers(-8, 40), st.integers(-2**70, 2**70),
+    st.sampled_from([10**400, -10**400, 2**63, 10**9, 10**12, 10**30]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag=st.sampled_from(["--n", "--steps"]), value=fuzz_sizes,
+       kind=st.sampled_from(["sinc", "gaussian"]),
+       fmt=st.sampled_from(["csv", "json"]))
+@example(flag="--n", value=10**9, kind="sinc", fmt="csv")
+@example(flag="--n", value=10**30, kind="sinc", fmt="csv")
+@example(flag="--n", value=10**400, kind="gaussian", fmt="json")
+@example(flag="--n", value=4097, kind="sinc", fmt="json")
+@example(flag="--n", value=0, kind="gaussian", fmt="csv")
+@example(flag="--steps", value=10**400, kind="sinc", fmt="json")
+@example(flag="--steps", value=-1, kind="gaussian", fmt="csv")
+@example(flag="--steps", value=4000, kind="sinc", fmt="csv")
+def test_property_fuzzed_size_overrides_exit_cleanly(flag, value, kind, fmt):
+    resource = pytest.importorskip("resource")
+    packet = (PACKET if kind == "sinc" else
+              {**PACKET, "kind": kind, "n": 32, "width": math.pi / 8})
+    # a few MiB of budget; the address-space cap turns an allocation the
+    # budget failed to refuse into an error here instead of a full host
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 4 << 30 if limits[1] == resource.RLIM_INFINITY else min(4 << 30, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(budget, "_memory_budget", lambda: 4 << 20)
+            code, out, err = _run_on_file(
+                packet, ["propagate", "--format", fmt, f"{flag}={value}", "--packet"])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert code in (0, 2, 3, 4) and len(err.strip().splitlines()) <= 1
+    if code != 3:
+        _assert_clean_outcome(code, out, err, fmt)

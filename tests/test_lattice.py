@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -531,13 +532,42 @@ def test_measurement_and_prediction_share_one_packet_split(monkeypatch):
 
 
 def test_shared_packet_split_is_read_only():
-    lat = Lattice(16)
-    spec = WavePacketSpec("sinc", (0.4, 0.3, -0.2), (4, 4, 4), 2)
-    grids, parts = _packet_parts(lat, spec)
-    for array in grids + tuple(a for part in parts for a in part[1:]):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[...] = 0
+    # the perpendicular part is the packet's own block, split where it was built
+    gaussian = WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (4, 4, 4), np.pi / 8)
+    for n, spec in ((16, WavePacketSpec("sinc", (0.4, 0.3, -0.2), (4, 4, 4), 2)),
+                    (32, replace(gaussian, helicity=1)),
+                    (32, replace(gaussian, per_mode_internal=True))):
+        _packet_parts.cache_clear()
+        grids, parts = _packet_parts(Lattice(n), spec)
+        for array in grids + tuple(a for part in parts for a in part[1:]):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+def sparse_state(lat, basis):
+    """A state on a few modes of both blocks, so its window is not the lattice."""
+    amp = np.zeros((lat.n,) * 3 + (6,), dtype=complex)
+    rng = np.random.default_rng(11)
+    amp[1:4, 2:4, 0:3] = rng.standard_normal((3, 2, 3, 6)) * (1 + 1j)
+    st = LatticeState(lat, "momentum", amp / np.linalg.norm(amp))
+    return to_position(st) if basis == "position" else st
+
+
+@pytest.mark.parametrize("basis", ["momentum", "position"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_general_state_split_never_writes_to_its_input(basis, sparse):
+    # the split writes each block's perpendicular part over the amplitudes
+    # it is given, so every caller must hand it a copy
+    lat = Lattice(8)
+    st = (sparse_state(lat, basis) if sparse
+          else random_state(lat, np.random.default_rng(5), basis))
+    before = st.amplitudes.copy()
+    evolve_spectral(st, 3)
+    project_to_branch(st, 0)
+    project_to_branch(st, 1)
+    predicted_state_velocity(st)
+    assert st.amplitudes.tobytes() == before.tobytes()
 
 
 def test_list_valued_spec_is_hashable_and_matches_tuples():
@@ -583,7 +613,9 @@ def test_packet_split_holds_only_the_packet_block(kind, width, helicity,
     spec = WavePacketSpec(kind, (0.4, 0.3, -0.2), (8, 8, 8), width,
                           helicity=helicity, per_mode_internal=per_mode_internal)
     offset = BRANCHES[helicity][1]
-    amp = _packet_window(lat, spec)[1]
+    window, block = _packet_window(lat, spec)
+    assert block.shape == tuple(map(len, window)) + (3,)
+    amp = make_wavepacket(lat, spec).amplitudes
     assert not np.delete(amp, np.s_[offset:offset + 3], axis=-1).any()
     _packet_parts.cache_clear()
     _, parts = _packet_parts(lat, spec)
@@ -714,16 +746,18 @@ def test_property_windowed_packet_matches_full_lattice(case):
         predicted_packet_velocity(lat, spec),
         full_lattice_prediction(packet), rtol=0, atol=1e-12)
     # the cube of width + 1 modes per axis and one halo mode
-    assert _packet_window(lat, spec)[1].shape == (spec.width + 2,) * 3 + (6,)
+    assert _packet_window(lat, spec)[1].shape == (spec.width + 2,) * 3 + (3,)
 
 
 def test_gaussian_packet_window_is_the_whole_lattice():
     lat = Lattice(32)
     spec = WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (8, 8, 8), np.pi / 8)
-    window, amp = _packet_window(lat, spec)
+    window, block = _packet_window(lat, spec)
     for axis in window:
         np.testing.assert_array_equal(axis, np.arange(32))
-    np.testing.assert_array_equal(amp, make_wavepacket(lat, spec).amplitudes)
+    offset = BRANCHES[spec.helicity][1]
+    np.testing.assert_array_equal(
+        block, make_wavepacket(lat, spec).amplitudes[..., offset:offset + 3])
 
 
 def test_sparse_packet_memory_does_not_grow_with_the_lattice():
@@ -888,6 +922,25 @@ def test_memory_estimate_covers_the_measured_peak(n, spec, samples):
         tracemalloc.stop()
         _packet_parts.cache_clear()
     assert peak <= estimate
+
+
+def test_benchmark_packet_peaks_under_256_bytes_per_window_mode():
+    # the packet is built as its one block, split in place and sampled into
+    # one buffer; building all six components and splitting copies of them
+    # took about 385 bytes per window mode
+    lat = Lattice(64)
+    window, _ = _packet_window(lat, BENCHMARK_PACKET)
+    modes = np.prod([len(w) for w in window])
+    _packet_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        measure_group_velocity(lat, BENCHMARK_PACKET, 16, 1)
+        predicted_packet_velocity(lat, BENCHMARK_PACKET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _packet_parts.cache_clear()
+    assert peak <= 256 * modes + 17 * _BYTES_PER_SAMPLE
 
 
 def test_over_budget_packet_is_refused_before_allocating(monkeypatch):
