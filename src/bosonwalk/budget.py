@@ -15,7 +15,7 @@ except ImportError:  # no resource limits on this platform
 from .errors import MemoryBudgetError
 
 # tracemalloc peaks with about twofold margin, in bytes per
-_SURFACE_BYTES_PER_POINT = 1024    # surface point: np.unique's copies, strings
+_SURFACE_BYTES_PER_POINT = 320     # surface point: 137 at m = 48, 160 at 64
 _ANISOTROPY_BYTES_PER_POINT = 512  # anisotropy point: text or doubled grid
 _BYTES_PER_AXIS_MODE = 128         # lattice axis mode: 41 in per-axis arrays
 _BYTES_PER_WINDOW_MODE = 512       # packet mode: 242, or 346 per-mode internal
@@ -35,9 +35,17 @@ def _memory_budget() -> float:
     return budget
 
 
+def _gib(nbytes: float) -> str:
+    try:
+        return f"{nbytes / 2**30:.3g}"
+    except OverflowError:  # an integer estimate past the float range
+        from decimal import Decimal
+        return f"{Decimal(nbytes) / 2**30:.3g}"
+
+
 def _refuse_over_budget(estimate: float, what: str) -> None:
     budget = _memory_budget()
     if estimate > budget:
         raise MemoryBudgetError(
-            f"{what} would need about {estimate / 2**30:.3g} GiB, over the "
-            f"{budget / 2**30:.3g} GiB memory budget")
+            f"{what} would need about {_gib(estimate)} GiB, over the "
+            f"{_gib(budget)} GiB memory budget")

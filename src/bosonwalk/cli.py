@@ -125,25 +125,44 @@ def _stdout():
 
 
 def _write_output(path, chunks) -> None:
-    """Atomically replace `path` with the text chunks; stdout when None."""
+    """Write the text chunks to `path`, or to stdout when it is None.
+
+    A new path or a regular file is replaced atomically (through a symlink,
+    the file it names), with an existing file's mode or else 0o666 less
+    the umask.  Any other existing file, such as a FIFO or a device, is
+    opened and written in place.  An error names `path` alone.
+    """
     if path is None:
         _stdout().writelines(chunks)
         return
-    directory = os.path.dirname(os.path.abspath(path))
+    import stat
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bosonwalk-")
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0o077)
+            os.umask(umask)
+            mode = stat.S_IFREG | 0o666 & ~umask
+        if not stat.S_ISREG(mode):
+            with open(path, "w") as handle:
+                handle.writelines(chunks)
+            return
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                   prefix=".bosonwalk-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.writelines(chunks)
+            os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
     except OSError as exc:  # name the user's path, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 # ------------------------------------------------------------------ surface
@@ -172,18 +191,35 @@ def _surface_chunks(m: int, fmt: str):
 
     table = kernel.surface_table(m)
     axis, degenerate = table["kz"][:m].copy(), table["degenerate"]
-    bits = np.stack([table[k] for k in values]).view(np.int64)
-    del table  # np.unique holds about six copies of bits at its peak
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    # strings: the axis values, the distinct values, the blank, the flags
+    bits = np.stack([table[k] for k in values]).view(np.int64).ravel()
+    del table
+    # the distinct bit patterns in sorted order, and each cell's int32 index
+    # into the strings below (5 m^3 + m + 3 < 2^31 up to m = 512); the sort's
+    # copies go before the strings are made, which hold most of the peak of
+    # 137 traced bytes per point at m = 48
+    order = np.argsort(bits)
+    ordered = bits[order]
+    del bits
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    distinct = ordered[first]
+    del ordered
+    ranks = np.cumsum(first, dtype=np.int32) + (m - 1)
+    inverse = np.empty((len(values), m**3), dtype=np.int32)
+    inverse.ravel()[order] = ranks
+    del order, first, ranks
+    # strings: the axis values, the distinct values, the blank, the flags,
+    # formatted in chunks so that no list of every value is held beside them
     numbers = np.concatenate([axis, distinct.view(np.float64)])
-    strings = np.array(list(map(number, numbers.tolist())) + [blank] + flags,
-                       dtype=object)
-    inverse = inverse.reshape(bits.shape) + m
+    strings = np.empty(numbers.size + 3, dtype=object)
+    strings[numbers.size:] = [blank, *flags]
+    for start in range(0, numbers.size, 1 << 14):
+        chunk = numbers[start:start + (1 << 14)].tolist()
+        strings[start:start + len(chunk)] = list(map(number, chunk))
     inverse[1:, degenerate] = numbers.size
-    index = dict(zip(("kx", "ky", "kz"), np.indices((m, m, m)).reshape(3, -1)))
+    index = dict(zip(("kx", "ky", "kz"),
+                     np.indices((m, m, m), dtype=np.int32).reshape(3, -1)))
     index.update(zip(values, inverse))
-    index["degenerate"] = numbers.size + 1 + degenerate
+    index["degenerate"] = degenerate.astype(np.int32) + (numbers.size + 1)
     columns = [index[k] for k in keys]
 
     yield head

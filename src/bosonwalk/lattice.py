@@ -431,7 +431,7 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     """
     if sample_every < 1 or int(sample_every) != sample_every:
         raise ValueError(f"sample_every must be a positive integer, got {sample_every}")
-    if sample_every >= lattice.n / 2:
+    if 2 * sample_every >= lattice.n:  # exact for any integer n
         raise ValueError(
             f"sample_every {sample_every} >= n/2 breaks trajectory unwrapping")
     if steps < sample_every:

@@ -6,9 +6,11 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 
@@ -18,7 +20,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from bosonwalk import __version__, budget
-from bosonwalk.cli import PACKET_FIELDS, main
+from bosonwalk.cli import PACKET_FIELDS, _surface_chunks, main
 from bosonwalk.kernel import surface_table
 
 PACKET = {"kind": "sinc", "n": 16, "k0": [0.4, 0.0, 0.0], "x0": [8, 8, 8],
@@ -135,6 +137,8 @@ def reference_surface(m, fmt):
 @given(m=st.integers(2, 24), fmt=st.sampled_from(["csv", "json"]))
 @example(m=7, fmt="csv")   # odd grid with both 0.0 and -0.0 velocities
 @example(m=7, fmt="json")
+@example(m=33, fmt="csv")  # odd, and past the drawn grids
+@example(m=33, fmt="json")
 def test_surface_bytes_match_per_row_reference(tmp_path_factory, m, fmt):
     out = tmp_path_factory.mktemp("surface") / f"surface.{fmt}"
     assert run_cli("surface", "--grid", str(m), "--format", fmt,
@@ -160,6 +164,21 @@ def test_surface_json_streams_without_holding_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < out.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_surface_peaks_under_180_bytes_per_point(fmt):
+    # np.unique's copies of the value bits peaked at 253 bytes per point
+    for _ in _surface_chunks(2, fmt):  # what a first call imports is not counted
+        pass
+    tracemalloc.start()
+    try:
+        for _ in _surface_chunks(48, fmt):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 180 * 48**3
 
 
 # ---------------------------------------------------------------- propagate
@@ -247,6 +266,21 @@ def test_propagate_over_the_memory_budget_is_config_error(
     assert run_cli("propagate", "--packet", packet, *argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and size in err[0] and "memory budget" in err[0]
+
+
+@pytest.mark.parametrize("flag, what, gib", [
+    ("--n", f"a lattice of {10**400} modes per axis", "1.19e+393"),
+    ("--steps", f"{10**400 + 1} trajectory samples", "9.54e+393"),
+], ids=["n", "steps"])
+def test_size_override_past_the_float_range_is_config_error(
+        tmp_path, monkeypatch, capsys, flag, what, gib):
+    # dividing the estimate to a float used to overflow, which exited 4
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 1 << 30)
+    packet = write_packet(tmp_path)
+    assert run_cli("propagate", "--packet", packet, flag, str(10**400)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bosonwalk: configuration error: {what} would need about {gib} GiB, "
+        "over the 1 GiB memory budget"]
 
 
 def test_propagate_overrides_take_precedence(tmp_path):
@@ -372,7 +406,7 @@ def test_grid_over_the_memory_budget_is_config_error(monkeypatch, capsys,
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command, sizes", [
-    ("surface", (16, 32)), ("anisotropy", (128, 256))])
+    ("surface", (16, 32, 48)), ("anisotropy", (128, 256))])
 def test_grid_memory_estimate_covers_the_traced_peak(
         tmp_path, monkeypatch, command, sizes, fmt):
     estimates = []
@@ -619,6 +653,80 @@ def test_out_into_a_missing_directory_names_the_given_path(capsys, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and out in err[0] and ".bosonwalk-" not in err[0]
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["surface", "--grid", "4"]])
+def test_out_to_a_directory_names_the_given_path(capsys, tmp_path, argv):
+    # the message used to name the temporary file renamed onto the directory
+    assert run_cli(*argv, "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(tmp_path) in err[0]
+    assert ".bosonwalk-" not in err[0] and list(tmp_path.iterdir()) == []
+
+
+def test_out_file_mode_is_the_umask_default_or_kept(tmp_path):
+    # mkstemp's 0600 used to survive the rename onto either file
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("old\n")
+    os.chmod(old, 0o604)
+    umask = os.umask(0o022)
+    try:
+        for out in (new, old):
+            assert run_cli("bounds", "--format", "csv", "--out", str(out)) == 0
+    finally:
+        os.umask(umask)
+    assert [stat.S_IMODE(os.stat(p).st_mode) for p in (new, old)] == [
+        0o644, 0o604]
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_out_through_a_symlink_writes_the_file_it_names(capsys, tmp_path,
+                                                         existing):
+    # the link used to be replaced, and the file it names never written
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    if existing:
+        target.write_text("old\n")
+    os.symlink(target, link)
+    assert run_cli("bounds", "--format", "csv", "--out", str(link)) == 0
+    assert run_cli("bounds", "--format", "csv") == 0
+    assert link.is_symlink() and target.read_text() == capsys.readouterr().out
+
+
+def _start_reader(fifo, size=-1):
+    """A thread that reads `size` bytes (all, by default) from the FIFO and
+    closes it; the list it returns receives them."""
+    received = []
+
+    def read():
+        with open(fifo, "rb") as handle:
+            received.append(handle.read(size))
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    return reader, received
+
+
+def test_out_to_a_fifo_writes_through_it(capsys, tmp_path):
+    # the FIFO used to be replaced by a file, and its reader got nothing
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader, received = _start_reader(fifo)
+    assert run_cli("bounds", "--format", "csv", "--out", str(fifo)) == 0
+    reader.join(timeout=10)
+    assert run_cli("bounds", "--format", "csv") == 0
+    assert received == [capsys.readouterr().out.encode()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_out_to_a_fifo_its_reader_closes_is_io_error(capsys, tmp_path):
+    # the 655 kB surface cannot fit the pipe before the reader leaves
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader, _ = _start_reader(fifo, 1)
+    assert run_cli("surface", "--grid", "16", "--out", str(fifo)) == 3
+    reader.join(timeout=10)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(fifo) in err[0]
+    assert "Broken pipe" in err[0] and ".bosonwalk-" not in err[0]
 
 
 def test_verify_negative_seed_is_config_error(capsys):
