@@ -13,8 +13,25 @@ Submodules:
 """
 
 import importlib
+import math
+from types import MappingProxyType
 
 __version__ = "0.1.0"
+
+# the default physical constants of the bound conversions, in the order
+# `bosonwalk --version` prints them (bounds.PhysicalConstants)
+CONSTANTS = MappingProxyType({
+    "hbar_c": 1.973269804e-16,        # GeV m, CODATA
+    "planck_length": 1.6e-35,         # m
+    "speed_of_light": 2.99792458e8,   # m/s
+})
+
+# closed forms of the direction factor s on the sphere (see anisotropy):
+# its RMS under dOmega / 4 pi and under dOmega, and max s - min s; here,
+# bounds reads them without loading anisotropy and numpy
+RMS_UNIT_AVERAGE = 1.0 / math.sqrt(105.0)
+RMS_SOLID_ANGLE = math.sqrt(4.0 * math.pi / 105.0)
+SPREAD_MAX = 2.0 / (3.0 * math.sqrt(3.0))
 
 from .errors import (
     ArgumentOutOfRangeError,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX  # noqa: F401
+from . import RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX  # noqa: F401
 from .errors import ArgumentOutOfRangeError, SeriesOutOfRangeError
 
 MAX_VALUE = 1.0 / (3.0 * math.sqrt(3.0))
@@ -104,8 +104,7 @@ def _refine_extremum(theta: float, phi: float, iterations: int = 50):
 def _extrema(grid: int = 256):
     theta = np.linspace(0.0, math.pi, grid)
     phi = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
-    vals = s_values(tg, pg)
+    vals = s_values(theta[:, None], phi[None, :])
     # the pattern repeats with period pi in phi, so grid maxima come in
     # pairs; seed from the first candidate in theta-major order to get the
     # canonical representative
@@ -114,8 +113,8 @@ def _extrema(grid: int = 256):
         np.flatnonzero(flat >= flat.max() - 1e-12)[0], vals.shape)
     imin = np.unravel_index(
         np.flatnonzero(flat <= flat.min() + 1e-12)[0], vals.shape)
-    tmax, pmax = _refine_extremum(tg[imax], pg[imax])
-    tmin, pmin = _refine_extremum(tg[imin], pg[imin])
+    tmax, pmax = _refine_extremum(theta[imax[0]], phi[imax[1]])
+    tmin, pmin = _refine_extremum(theta[imin[0]], phi[imin[1]])
     smax = float(s_values(tmax, pmax))
     smin = float(s_values(tmin, pmin))
     return smax, Direction(tmax, pmax), smin, Direction(tmin, pmin)

@@ -22,6 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
+from . import CONSTANTS, RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX
 from .errors import (
     ArgumentOutOfRangeError,
     CatalogParseError,
@@ -32,13 +33,6 @@ from .errors import (
 
 DISPERSION = "dispersion"
 ANISOTROPY = "anisotropy"
-
-# closed forms of the direction factor s on the sphere (see anisotropy):
-# its RMS under dOmega / 4 pi and under dOmega, and max s - min s; kept
-# here so that the bound calculator runs without numpy
-RMS_UNIT_AVERAGE = 1.0 / math.sqrt(105.0)
-RMS_SOLID_ANGLE = math.sqrt(4.0 * math.pi / 105.0)
-SPREAD_MAX = 2.0 / (3.0 * math.sqrt(3.0))
 
 NORMALIZATIONS = {
     "paper_rms": RMS_SOLID_ANGLE,
@@ -51,12 +45,12 @@ NORMALIZATIONS = {
 class PhysicalConstants:
     """Constants used in bound conversions; echoed with every result."""
 
-    hbar_c: float = 1.973269804e-16   # GeV m, CODATA
-    planck_length: float = 1.6e-35    # m
-    speed_of_light: float = 2.99792458e8  # m/s
+    hbar_c: float = CONSTANTS["hbar_c"]
+    planck_length: float = CONSTANTS["planck_length"]
+    speed_of_light: float = CONSTANTS["speed_of_light"]
 
     def __post_init__(self):
-        for name in ("hbar_c", "planck_length", "speed_of_light"):
+        for name in CONSTANTS:
             if getattr(self, name) <= 0:
                 raise ArgumentOutOfRangeError(f"{name} must be positive")
 

@@ -18,7 +18,7 @@ from .errors import MemoryBudgetError
 _SURFACE_BYTES_PER_POINT = 320     # surface point: 137 at m = 48, 160 at 64
 _ANISOTROPY_BYTES_PER_POINT = 512  # anisotropy point: text or doubled grid
 _BYTES_PER_AXIS_MODE = 128         # lattice axis mode: 41 in per-axis arrays
-_BYTES_PER_WINDOW_MODE = 512       # packet mode: 242, or 346 per-mode internal
+_BYTES_PER_WINDOW_MODE = 512       # packet mode: 235, or 346 per-mode internal
 _BYTES_PER_SAMPLE = 1024           # trajectory sample
 
 

@@ -13,6 +13,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -944,3 +945,45 @@ def test_property_fuzzed_size_overrides_exit_cleanly(flag, value, kind, fmt):
     assert code in (0, 2, 3, 4) and len(err.strip().splitlines()) <= 1
     if code != 3:
         _assert_clean_outcome(code, out, err, fmt)
+
+
+# --out: stdout (None), a new file, and three targets that cannot take it
+FULL_DEVICE = "/dev/full" if os.path.exists("/dev/full") else "{tmp}"
+OUT_TARGETS = [None, "{tmp}/out", "{tmp}/missing/out", "{tmp}", FULL_DEVICE]
+SIZE_FLAGS = {"surface": "--grid", "propagate": "--n", "anisotropy": "--grid",
+              "bounds": None, "verify": "--seed"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(SIZE_FLAGS)), size=fuzz_sizes,
+       fmt=st.sampled_from(["csv", "json"]), out=st.sampled_from(OUT_TARGETS),
+       stdout_open=st.booleans())
+@example(command="surface", size=7, fmt="json", out=None, stdout_open=True)
+@example(command="propagate", size=0, fmt="csv", out=None, stdout_open=False)
+@example(command="anisotropy", size=-3, fmt="json", out="{tmp}",
+         stdout_open=True)
+@example(command="verify", size=10**400, fmt="json", out="{tmp}/missing/out",
+         stdout_open=False)
+@example(command="bounds", size=0, fmt="csv", out=FULL_DEVICE,
+         stdout_open=True)
+def test_property_fuzzed_command_lines_exit_cleanly(command, size, fmt, out,
+                                                     stdout_open):
+    # every subcommand in process, under a budget of a few MiB: each run
+    # ends in its documented exit code with at most a one-line reason
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(budget, "_memory_budget", lambda: 4 << 20)
+        argv = [command, "--format", fmt]
+        if SIZE_FLAGS[command]:
+            argv.append(f"{SIZE_FLAGS[command]}={size}")
+        if command == "propagate":
+            argv += ["--packet", write_packet(Path(tmp))]
+        if out is not None:
+            argv += ["--out", out.format(tmp=tmp)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO() if stdout_open else None), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3, 4) or code == 1 and command == "verify"
+    assert len(err.getvalue().splitlines()) <= (code != 0)

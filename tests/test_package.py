@@ -66,7 +66,7 @@ def test_cli_sets_nothing_once_numpy_is_loaded():
 
 
 # main on the argv filled in for %r, stdout discarded; prints the exit
-# code, whether numpy loaded, and the thread count
+# code, whether numpy loaded, the thread count and the package's modules
 RUN_PROBE = """
 import contextlib, io, json, sys
 from bosonwalk.cli import main
@@ -80,7 +80,8 @@ try:
         threads = int(status.read().split("Threads:")[1].split()[0])
 except OSError:
     threads = None
-print(json.dumps([code, "numpy" in sys.modules, threads]))
+print(json.dumps([code, "numpy" in sys.modules, threads,
+                  sorted(m for m in sys.modules if m.startswith("bosonwalk"))]))
 """
 
 
@@ -93,13 +94,45 @@ def test_import_loads_no_numpy(name):
 @pytest.mark.parametrize("argv", [
     ["--version"], ["bounds", "--format", "json"], ["bounds", "--format", "csv"]])
 def test_version_and_bounds_run_without_numpy(argv):
-    code, numpy_loaded, _ = fresh(RUN_PROBE % (argv,))
+    code, numpy_loaded, *_ = fresh(RUN_PROBE % (argv,))
     assert (code, numpy_loaded) == (0, False)
+
+
+# what every command loads: the package, its errors, the budget and the CLI
+CLI_MODULES = ["bosonwalk", "bosonwalk.budget", "bosonwalk.cli",
+               "bosonwalk.errors"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["--version"], []),
+    (["bounds", "--format", "csv"], ["bounds"]),
+    (["anisotropy", "--grid", "16", "--format", "json"], ["anisotropy"]),
+    (["surface", "--grid", "4", "--format", "json"], ["algebra", "kernel"]),
+    (["propagate", "--packet", "{packet}"], ["algebra", "kernel", "lattice"]),
+], ids=["version", "bounds", "anisotropy", "surface", "propagate"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    packet = tmp_path / "packet.json"
+    packet.write_text(json.dumps({
+        "kind": "sinc", "n": 16, "k0": [0.4, 0, 0], "x0": [8, 8, 8],
+        "width": 2, "helicity": 0, "steps": 2, "sample_every": 1}))
+    argv = [a.format(packet=packet) for a in argv]
+    code, _, _, loaded = fresh(RUN_PROBE % (argv,))
+    assert code == 0
+    assert loaded == sorted(CLI_MODULES + [f"bosonwalk.{m}" for m in modules])
+
+
+def test_constants_have_one_home():
+    from bosonwalk import anisotropy, bounds
+    assert list(bounds.PhysicalConstants().as_dict().items()) == list(
+        bosonwalk.CONSTANTS.items())
+    for name in ("RMS_UNIT_AVERAGE", "RMS_SOLID_ANGLE", "SPREAD_MAX"):
+        value = getattr(bosonwalk, name)
+        assert getattr(bounds, name) is value is getattr(anisotropy, name)
 
 
 def test_a_command_that_loads_numpy_runs_one_thread():
     argv = ["anisotropy", "--grid", "16", "--format", "json"]
-    code, numpy_loaded, threads = fresh(RUN_PROBE % (argv,))
+    code, numpy_loaded, threads, _ = fresh(RUN_PROBE % (argv,))
     assert (code, numpy_loaded) == (0, True)
     if threads is None:
         pytest.skip("no /proc/self/status to count threads")
