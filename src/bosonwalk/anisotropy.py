@@ -145,8 +145,7 @@ def _sphere_moments(n_theta: int, n_phi: int) -> tuple[float, float]:
     theta = np.arccos(u)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     wphi = 2.0 * math.pi / n_phi  # trapezoid over the periodic interval
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
-    vals = s_values(tg, pg)
+    vals = s_values(theta[:, None], phi[None, :])
     wgrid = wu[:, None] * wphi
     total = 4.0 * math.pi
     mean = float(np.sum(vals * wgrid) / total)

@@ -316,16 +316,13 @@ def bundled_catalog_path() -> str:
 
 @dataclass(frozen=True)
 class CatalogOptions:
-    """Knobs for run_catalog; defaults reproduce the published arithmetic."""
+    """run_catalog's normalization (a NORMALIZATIONS key) and paper_compat
+    (see anisotropy_bound); defaults reproduce the published arithmetic."""
 
     normalization: str = "paper_rms"
-    rms_factor: Optional[float] = None  # overrides the normalization table
-    spread_factor: float = SPREAD_MAX
     paper_compat: bool = True
 
     def resolved_rms_factor(self) -> float:
-        if self.rms_factor is not None:
-            return self.rms_factor
         if self.normalization not in NORMALIZATIONS:
             raise ArgumentOutOfRangeError(
                 f"unknown normalization {self.normalization!r}")
@@ -358,7 +355,6 @@ def run_catalog(records, constants: PhysicalConstants,
                 options.normalization))
         else:
             numeric.append(anisotropy_bound(
-                record, constants, options.spread_factor,
-                options.paper_compat))
+                record, constants, paper_compat=options.paper_compat))
     numeric.sort(key=lambda r: r.delta_x_upper_bound)
     return numeric + annotated

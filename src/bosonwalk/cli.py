@@ -42,18 +42,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-_CONFIG_ERRORS = (
-    errors.ArgumentOutOfRangeError,
-    errors.BasisMismatchError,
-    errors.CatalogParseError,
-    errors.CatalogValidationError,
-    errors.MemoryBudgetError,
-    errors.MissingWavelengthError,
-    errors.PacketSpecError,
-    errors.SeriesOutOfRangeError,
-    errors.UnsupportedOrderError,
-    ValueError,
-)
+# checked after _numerical_errors(), so the numerical WalkErrors go there
+_CONFIG_ERRORS = (errors.WalkError, ValueError)
 _NUMERICAL_ERRORS = (
     errors.DegenerateSpectrumError,
     errors.UndefinedCentroidError,

@@ -6,7 +6,7 @@ class WalkError(Exception):
 
 
 class ArgumentOutOfRangeError(WalkError):
-    """An arccos argument left its domain by more than rounding allows."""
+    """An argument or setting lies outside the values it may take."""
 
 
 class DegenerateSpectrumError(WalkError):

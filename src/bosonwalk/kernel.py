@@ -37,7 +37,6 @@ from .errors import (
     ZeroMomentumError,
 )
 
-PHASE_CLAMP_WINDOW = 1e-12
 DEGENERACY_MARGIN = 1e-9
 
 # (branch, offset of its 3-component block in the internal space)
@@ -123,37 +122,31 @@ def _arccos_one_minus(y):
         np.pi - 2.0 * np.arcsin(np.sqrt(0.5 * (2.0 - y))))
 
 
-def _scalar_phase(kappa, clamp_tol: float, branch: int) -> float:
-    """Angle of one branch (0 primary, 1 mirror) at one point.
+def _scalar_phase(kappa, grid) -> float:
+    """One branch angle at one point, by its grid form.
 
     With at most one nonzero component both angles are exactly |kappa|,
-    so the axis case skips the trigonometric round trip; elsewhere a
-    cosine argument outside [-1, 1] by more than clamp_tol is refused.
+    so the axis case skips the trigonometric round trip.
     """
     kx, ky, kz = _components(kappa)
     if sum(1 for c in (kx, ky, kz) if c == 0.0) >= 2:
         return float(abs(kx + ky + kz))
-    y = float(_versine_args(kx, ky, kz)[branch])
-    if y < -clamp_tol or y > 2.0 + clamp_tol:
-        raise ArgumentOutOfRangeError(
-            f"cosine argument {1.0 - y!r} outside [-1, 1] by more "
-            f"than {clamp_tol}")
-    return float(_arccos_one_minus(y))
+    return float(grid(kx, ky, kz))
 
 
-def phase(kappa, clamp_tol: float = PHASE_CLAMP_WINDOW) -> float:
+def phase(kappa) -> float:
     """Per-step phase of the primary forward branch, in [0, pi].
 
     Plays the role of energy x time step.  Exact eigenphase of U(kappa):
     exp(-i phase) is an eigenvalue carried by the lower block.  Exact on
     the coordinate axes.
     """
-    return _scalar_phase(kappa, clamp_tol, 0)
+    return _scalar_phase(kappa, phase_grid)
 
 
-def mirror_phase(kappa, clamp_tol: float = PHASE_CLAMP_WINDOW) -> float:
+def mirror_phase(kappa) -> float:
     """Per-step phase of the second forward branch; equals phase(-kappa)."""
-    return _scalar_phase(kappa, clamp_tol, 1)
+    return _scalar_phase(kappa, mirror_phase_grid)
 
 
 def _nondegenerate_phases(kappa) -> tuple[float, float]:

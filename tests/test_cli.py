@@ -20,7 +20,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bosonwalk import __version__, budget
+from bosonwalk import __version__, budget, cli, errors
 from bosonwalk.cli import PACKET_FIELDS, _surface_chunks, main
 from bosonwalk.kernel import surface_table
 
@@ -630,6 +630,28 @@ def test_linalg_error_is_numerical_error(monkeypatch, capsys):
     assert run_cli("anisotropy", "--format", "json") == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "numerical failure: Singular matrix" in err[0]
+
+
+# named one by one, so that a new error class needs a deliberate choice
+NUMERICAL_FAILURES = ("DegenerateSpectrumError", "UndefinedCentroidError",
+                      "ZeroMomentumError", "OverflowError")
+
+
+@pytest.mark.parametrize("error", [
+    *(c for c in vars(errors).values()
+      if isinstance(c, type) and issubclass(c, errors.WalkError)),
+    ValueError, OverflowError,
+], ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("the reason")
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    numerical = error.__name__ in NUMERICAL_FAILURES
+    assert run_cli("verify") == (4 if numerical else 2)
+    kind = "numerical failure" if numerical else "configuration error"
+    assert capsys.readouterr().err.splitlines() == [
+        f"bosonwalk: {kind}: the reason"]
 
 
 @pytest.mark.parametrize("argv", [

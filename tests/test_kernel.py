@@ -146,6 +146,16 @@ def test_phase_within_arccos_range():
     for _ in range(200):
         p = phase(ReducedMomentum.wrap(*rng.uniform(-np.pi, np.pi, 3)))
         assert 0.0 <= p <= np.pi
+    # unwrapped momenta with at most one zero component (on an axis the
+    # angle is |kappa| itself): huge, +-pi and subnormal components
+    special = [np.pi, -np.pi, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300]
+    points = [[a, b, c] for a in special for b in special for c in special]
+    points += [[0.0, b, c] for b in special for c in special]
+    magnitudes = 10.0 ** rng.uniform(-320, 300, size=(3000, 3))
+    points += list(rng.choice([-1.0, 1.0], size=(3000, 3)) * magnitudes)
+    for k in points:
+        for p in (phase(k), mirror_phase(k)):
+            assert 0.0 <= p <= np.pi, k
 
 
 def test_mirror_phase_is_phase_of_negated_momentum():
