@@ -25,6 +25,11 @@ from .errors import ArgumentOutOfRangeError, SeriesOutOfRangeError
 
 MAX_VALUE = 1.0 / (3.0 * math.sqrt(3.0))
 
+# s = f(theta) g(phi) with f = cos sin^2, which peaks where tan(theta) =
+# sqrt(2), and g = sin(2 phi) / 2, which peaks at pi/4 and dips at 3 pi/4;
+# atan keeps the last bit that acos(1/sqrt(3)) loses
+_EXTREMUM_THETA = math.atan(math.sqrt(2.0))
+
 
 @dataclass(frozen=True)
 class Direction:
@@ -70,56 +75,6 @@ def deviation_for_direction(kappa_magnitude: float, direction: Direction) -> flo
     return -kappa_magnitude * s_factor(direction)
 
 
-def _gradient_and_hessian(theta: float, phi: float):
-    # s = f(theta) g(phi) with f = cos sin^2 and g = sin cos = sin(2 phi)/2
-    st, ct = math.sin(theta), math.cos(theta)
-    f = ct * st * st
-    fp = st * (3.0 * ct * ct - 1.0)
-    fpp = ct * (3.0 * ct * ct - 1.0 - 6.0 * st * st)
-    g = 0.5 * math.sin(2.0 * phi)
-    gp = math.cos(2.0 * phi)
-    gpp = -2.0 * math.sin(2.0 * phi)
-    grad = np.array([fp * g, f * gp])
-    hess = np.array([[fpp * g, fp * gp], [fp * gp, f * gpp]])
-    return grad, hess
-
-
-def _refine_extremum(theta: float, phi: float, iterations: int = 50):
-    """Newton iteration on grad s = 0 from a grid seed."""
-    for _ in range(iterations):
-        grad, hess = _gradient_and_hessian(theta, phi)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break
-        theta -= step[0]
-        phi -= step[1]
-        if float(np.hypot(*step)) < 1e-15:
-            break
-    theta = min(max(theta, 0.0), math.pi)
-    phi = phi % (2.0 * math.pi)
-    return theta, phi
-
-
-def _extrema(grid: int = 256):
-    theta = np.linspace(0.0, math.pi, grid)
-    phi = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = s_values(theta[:, None], phi[None, :])
-    # the pattern repeats with period pi in phi, so grid maxima come in
-    # pairs; seed from the first candidate in theta-major order to get the
-    # canonical representative
-    flat = vals.ravel()
-    imax = np.unravel_index(
-        np.flatnonzero(flat >= flat.max() - 1e-12)[0], vals.shape)
-    imin = np.unravel_index(
-        np.flatnonzero(flat <= flat.min() + 1e-12)[0], vals.shape)
-    tmax, pmax = _refine_extremum(theta[imax[0]], phi[imax[1]])
-    tmin, pmin = _refine_extremum(theta[imin[0]], phi[imin[1]])
-    smax = float(s_values(tmax, pmax))
-    smin = float(s_values(tmin, pmin))
-    return smax, Direction(tmax, pmax), smin, Direction(tmin, pmin)
-
-
 @dataclass(frozen=True)
 class SphereStats:
     """Solid-angle statistics of s, with both RMS normalizations."""
@@ -154,11 +109,12 @@ def _sphere_moments(n_theta: int, n_phi: int) -> tuple[float, float]:
 
 
 def sphere_stats(n_theta: int = 64, n_phi: int = 64) -> SphereStats:
-    """Quadrature statistics of s over the sphere.
+    """Statistics of s over the sphere: quadrature moments, exact extrema.
 
-    The error estimate is the change in the unit-average RMS when both
-    resolutions are doubled; for this integrand it sits at rounding level
-    already for modest n.
+    Each extremum is reported at the first of its four copies in
+    theta-major order.  The error estimate is the change in the
+    unit-average RMS when both resolutions are doubled; for this integrand
+    it sits at rounding level already for modest n.
     """
     if n_theta < 16 or n_phi < 16:
         raise ArgumentOutOfRangeError(
@@ -166,7 +122,9 @@ def sphere_stats(n_theta: int = 64, n_phi: int = 64) -> SphereStats:
     mean, mean_sq = _sphere_moments(n_theta, n_phi)
     _, mean_sq_fine = _sphere_moments(2 * n_theta, 2 * n_phi)
     rms_unit = math.sqrt(mean_sq)
-    smax, argmax, smin, argmin = _extrema()
+    argmax = Direction(_EXTREMUM_THETA, math.pi / 4)
+    argmin = Direction(_EXTREMUM_THETA, 3 * math.pi / 4)
+    smax, smin = s_factor(argmax), s_factor(argmin)
     return SphereStats(
         mean=mean,
         rms_unit_average=rms_unit,

@@ -150,13 +150,21 @@ def mirror_phase(kappa) -> float:
 
 
 def _nondegenerate_phases(kappa) -> tuple[float, float]:
-    """(phase, mirror_phase), refused within the margin of 0 or pi."""
+    """(phase, mirror_phase), refused within the margin of 0 or pi.
+
+    Each branch is also refused where its quaternion angle, the one that
+    sets the grid forms' `degenerate` flag, is within the margin: near pi
+    the arccos form errs by ~2e-8, so either angle can fire alone.
+    """
     phis = phase(kappa), mirror_phase(kappa)
-    for label, phi in zip(("phase", "mirror phase"), phis):
-        if min(phi, math.pi - phi) < DEGENERACY_MARGIN:
-            raise DegenerateSpectrumError(
-                f"{label} = {phi!r} is within {DEGENERACY_MARGIN} of 0 or pi; "
-                "forward/backward modes merge there")
+    rotations = rotation_grids(*_components(kappa))
+    labels = ("phase", "mirror phase")
+    for (name, _), label, phi in zip(BRANCHES, labels, phis):
+        for angle in (phi, float(rotations[name]["phase"])):
+            if min(angle, math.pi - angle) < DEGENERACY_MARGIN:
+                raise DegenerateSpectrumError(
+                    f"{label} = {angle!r} is within {DEGENERACY_MARGIN} of 0 "
+                    "or pi; forward/backward modes merge there")
     return phis
 
 

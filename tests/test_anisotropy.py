@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonwalk.anisotropy import (
     Direction,
@@ -84,11 +87,40 @@ def test_sphere_stats_closed_forms():
 
 
 def test_sphere_stats_extrema_locations():
-    st = sphere_stats(32, 32)
-    assert np.isclose(st.argmax.theta, DIAG_THETA, atol=1e-8)
-    assert np.isclose(st.argmax.phi, math.pi / 4, atol=1e-8)
-    assert np.isclose(s_values(st.argmin.theta, st.argmin.phi), st.min,
-                      atol=1e-14)
+    stats = sphere_stats(32, 32)
+
+    def gradient(x, h=1e-5):
+        return [(s_values(*(x + d)) - s_values(*(x - d))) / (2 * h)
+                for d in h * np.eye(2)]
+
+    # s has period pi in phi and is even under (theta, phi) -> (pi - theta,
+    # pi - phi), so [0, pi/2] x [0, pi) holds one copy of each extremum:
+    # the first in theta-major order, the one sphere_stats reports
+    for sign, direction, value in ((-1, stats.argmax, stats.max),
+                                   (1, stats.argmin, stats.min)):
+        seed = scipy.optimize.brute(lambda x: sign * s_values(*x),
+                                    ((0, math.pi / 2), (0, math.pi)),
+                                    Ns=101, finish=None)
+        root = scipy.optimize.root(gradient, seed)
+        assert root.success
+        np.testing.assert_allclose([direction.theta, direction.phi], root.x,
+                                   rtol=0, atol=1e-8)
+        assert abs(value - s_values(*root.x)) <= 1e-8
+    # the output bits; acos(1 / sqrt(3)) for theta would be one ulp lower
+    assert stats.argmax == Direction(0.9553166181245093, math.pi / 4)
+    assert stats.argmin == Direction(0.9553166181245093, 3 * math.pi / 4)
+    assert stats.max == -stats.min == 0.19245008972987523
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_theta=st.integers(16, 64), n_phi=st.integers(16, 64))
+def test_property_sphere_stats_closed_forms(n_theta, n_phi):
+    stats = sphere_stats(n_theta, n_phi)
+    assert abs(stats.mean) <= 1e-14
+    assert abs(stats.rms_unit_average - RMS_UNIT_AVERAGE) <= 1e-10
+    assert abs(stats.rms_paper_normalization - RMS_SOLID_ANGLE) <= 1e-10
+    # max - min rounds one ulp below 2 / (3 sqrt(3)) as SPREAD_MAX computes it
+    assert abs(stats.spread - SPREAD_MAX) <= math.ulp(SPREAD_MAX)
 
 
 def test_sphere_stats_resolution_floor():

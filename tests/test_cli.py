@@ -317,6 +317,18 @@ def test_propagate_degenerate_momentum_is_numerical_error(tmp_path):
     assert run_cli("propagate", "--packet", packet) == 4
 
 
+def test_propagate_gaussian_at_an_exact_pi_angle_is_numerical_error(
+        tmp_path, capsys):
+    # the block angle at this k0 is exactly pi, which the quaternion form
+    # gives and the arccos form misses by 2e-8; no forward vector exists
+    packet = write_packet(tmp_path, kind="gaussian", n=32, width=math.pi / 8,
+                          k0=[math.pi, 0.0, math.pi - 0.05])
+    assert run_cli("propagate", "--packet", packet) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "bosonwalk: numerical failure: phase = 3.141592653589793 is within "
+        "1e-09 of 0 or pi; forward/backward modes merge there"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, value", [
     ("x0", [8.5, 8, 8]),

@@ -306,6 +306,15 @@ def test_degenerate_momentum_raises():
         group_velocity_analytic(ReducedMomentum.wrap(0.0, 0.0, 0.0))
     with pytest.raises(DegenerateSpectrumError):
         mode_decomposition(ReducedMomentum.wrap(np.pi, np.pi, np.pi))
+    # the block angle is exactly pi here, but the arccos form reads
+    # 3.1415926325, 2e-8 short of it: only the quaternion angle fires
+    k = ReducedMomentum.wrap(np.pi, 0.0, np.pi - 0.05)
+    assert math.pi - phase(k) > 1e-8
+    for scalar_api in (positive_energy_vector, branch_decomposition,
+                       mode_decomposition):
+        with pytest.raises(DegenerateSpectrumError,
+                           match="^phase = 3.141592653589793 is within"):
+            scalar_api(k)
 
 
 # ------------------------------------------------------------- velocities

@@ -826,9 +826,12 @@ def cut_gaussian_packets(draw):
         helicity=draw(st.integers(0, 1)), per_mode_internal=draw(st.booleans()))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=2, deadline=None)
 @given(spec=cut_gaussian_packets())
 @example(spec=BENCHMARK_PACKET)
+@example(spec=WavePacketSpec("gaussian", (np.pi, 0.0, np.pi - 0.05), (0, 0, 0),
+                             np.pi / 16))
 @example(spec=WavePacketSpec("gaussian", (np.pi, 0.3, -np.pi), (63, 0, 31),
                              np.pi / 16, helicity=1, per_mode_internal=True))
 @example(spec=WavePacketSpec("gaussian", (0.0, 0.0, 0.0), (0, 0, 1), 0.375,
