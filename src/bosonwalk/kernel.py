@@ -149,22 +149,23 @@ def mirror_phase(kappa) -> float:
     return _scalar_phase(kappa, mirror_phase_grid)
 
 
-def _nondegenerate_phases(kappa) -> tuple[float, float]:
+def _nondegenerate_phases(kappa, rotations) -> tuple[float, float]:
     """(phase, mirror_phase), refused within the margin of 0 or pi.
 
-    Each branch is also refused where its quaternion angle, the one that
-    sets the grid forms' `degenerate` flag, is within the margin: near pi
-    the arccos form errs by ~2e-8, so either angle can fire alone.
+    After both arccos angles, the block angle of each branch in `rotations`
+    (from `rotation_grids` at kappa; it sets the grid forms' `degenerate`
+    flag) is refused too: near pi the arccos form errs by ~2e-8.
     """
     phis = phase(kappa), mirror_phase(kappa)
-    rotations = rotation_grids(*_components(kappa))
     labels = ("phase", "mirror phase")
-    for (name, _), label, phi in zip(BRANCHES, labels, phis):
-        for angle in (phi, float(rotations[name]["phase"])):
-            if min(angle, math.pi - angle) < DEGENERACY_MARGIN:
-                raise DegenerateSpectrumError(
-                    f"{label} = {angle!r} is within {DEGENERACY_MARGIN} of 0 "
-                    "or pi; forward/backward modes merge there")
+    checks = list(zip(labels, phis)) + [
+        (f"{label} (block angle)", float(rotations[name]["phase"]))
+        for (name, _), label in zip(BRANCHES, labels) if name in rotations]
+    for label, angle in checks:
+        if min(angle, math.pi - angle) < DEGENERACY_MARGIN:
+            raise DegenerateSpectrumError(
+                f"{label} = {angle!r} is within {DEGENERACY_MARGIN} of 0 "
+                "or pi; forward/backward modes merge there")
     return phis
 
 
@@ -198,8 +199,8 @@ def branch_decomposition(kappa) -> tuple[BranchModes, BranchModes]:
     branch angle sits within the margin of 0 or pi, where its circular
     modes merge.
     """
-    phis = _nondegenerate_phases(kappa)
     grids = branch_projector_grids(*_components(kappa))
+    phis = _nondegenerate_phases(kappa, grids)
     return tuple(
         BranchModes(name, phi, offset, *(grids[name][key] for key in (
             "forward", "axis", "backward")))
@@ -263,8 +264,9 @@ def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     """
     if helicity_index not in (0, 1):
         raise ArgumentOutOfRangeError("helicity_index must be 0 or 1")
-    _nondegenerate_phases(kappa)
-    return forward_vector_grids(*_components(kappa), helicity_index)[0]
+    k, name = _components(kappa), BRANCHES[helicity_index][0]
+    _nondegenerate_phases(kappa, rotation_grids(*k, (name,)))
+    return forward_vector_grids(*k, helicity_index)[0]
 
 
 @dataclass(frozen=True)

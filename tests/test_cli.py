@@ -325,7 +325,8 @@ def test_propagate_gaussian_at_an_exact_pi_angle_is_numerical_error(
                           k0=[math.pi, 0.0, math.pi - 0.05])
     assert run_cli("propagate", "--packet", packet) == 4
     assert capsys.readouterr().err.splitlines() == [
-        "bosonwalk: numerical failure: phase = 3.141592653589793 is within "
+        "bosonwalk: numerical failure: phase (block angle) = "
+        "3.141592653589793 is within "
         "1e-09 of 0 or pi; forward/backward modes merge there"]
 
 

@@ -304,7 +304,9 @@ def test_degenerate_momentum_raises():
         branch_decomposition(ReducedMomentum.wrap(0.0, 0.0, 0.0))
     with pytest.raises(DegenerateSpectrumError):
         group_velocity_analytic(ReducedMomentum.wrap(0.0, 0.0, 0.0))
-    with pytest.raises(DegenerateSpectrumError):
+    # the arccos angles are tested first, so a refusal they make keeps
+    # its wording
+    with pytest.raises(DegenerateSpectrumError, match="^phase = 0.0 is within"):
         mode_decomposition(ReducedMomentum.wrap(np.pi, np.pi, np.pi))
     # the block angle is exactly pi here, but the arccos form reads
     # 3.1415926325, 2e-8 short of it: only the quaternion angle fires
@@ -312,9 +314,12 @@ def test_degenerate_momentum_raises():
     assert math.pi - phase(k) > 1e-8
     for scalar_api in (positive_energy_vector, branch_decomposition,
                        mode_decomposition):
-        with pytest.raises(DegenerateSpectrumError,
-                           match="^phase = 3.141592653589793 is within"):
+        with pytest.raises(DegenerateSpectrumError, match=(
+                r"^phase \(block angle\) = 3.141592653589793 is within")):
             scalar_api(k)
+    with pytest.raises(DegenerateSpectrumError,
+                       match=r"^mirror phase \(block angle\) = "):
+        positive_energy_vector(k, 1)
 
 
 # ------------------------------------------------------------- velocities
