@@ -295,6 +295,8 @@ def load_experiments(path) -> list[ExperimentRecord]:
             raise CatalogParseError(
                 f"{path}: invalid JSON at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}") from exc
+        except (RecursionError, UnicodeDecodeError) as exc:
+            raise CatalogParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise CatalogParseError(f"{path}: top level must be a JSON array")
     records = []

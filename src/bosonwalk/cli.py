@@ -9,10 +9,8 @@ and seed.  Only verify takes --seed; surface and propagate accept
 process with one BLAS thread, unless OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS is set.  Each command imports what it
 runs when it runs: --version loads no package module but errors and
-budget, and neither numpy nor dataclasses, so it takes about 84 ms on a
-2-core host with Python 3.11, where the bare interpreter takes 71 ms;
-bounds loads no numpy; and every command that does loads it after the
-BLAS pin below.
+budget, and neither numpy nor dataclasses; bounds loads no numpy; and
+every command that does loads it after the BLAS pin below.
 
 Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 3 I/O failure, 4 numerical failure (degenerate spectrum and similar).
@@ -214,9 +212,9 @@ def cmd_surface(args) -> int:
 def _load_packet_config(path) -> dict:
     import json
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise errors.PacketSpecError(f"packet file {path}: invalid JSON: {exc}")
     if not isinstance(raw, dict):
         raise errors.PacketSpecError(f"packet file {path}: expected a JSON object")

@@ -264,9 +264,9 @@ def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     """
     if helicity_index not in (0, 1):
         raise ArgumentOutOfRangeError("helicity_index must be 0 or 1")
-    k, name = _components(kappa), BRANCHES[helicity_index][0]
+    k, (name, offset) = _components(kappa), BRANCHES[helicity_index]
     _nondegenerate_phases(kappa, rotation_grids(*k, (name,)))
-    return forward_vector_grids(*k, helicity_index)[0]
+    return np.pad(forward_vector_grids(*k, helicity_index)[0], (offset, 3 - offset))
 
 
 @dataclass(frozen=True)
@@ -431,12 +431,13 @@ def branch_projector_grids(kx, ky, kz):
 def forward_vector_grids(kx, ky, kz, helicity_index: int = 0):
     """Forward eigenvectors of one branch over broadcast momenta.
 
-    Returns (vectors (..., 6), degenerate (...,)), rows zero where
-    degenerate: the forward projector applied to the block basis vector
-    least aligned with the axis, normalized, with the first component over
-    1e-9 in modulus made real positive.
+    Returns (vectors (..., 3), degenerate (...,)), each vector inside the
+    branch's own block and zero where degenerate: the forward projector
+    applied to the block basis vector least aligned with the axis,
+    normalized, with the first component over 1e-9 in modulus made real
+    positive.
     """
-    name, offset = BRANCHES[helicity_index]
+    name = BRANCHES[helicity_index][0]
     rotation = rotation_grids(kx, ky, kz, (name,))[name]
     n, bad = rotation["axis"], rotation["degenerate"]
     pick = np.argmin(np.abs(n), axis=-1)[..., None]
@@ -445,10 +446,7 @@ def forward_vector_grids(kx, ky, kz, helicity_index: int = 0):
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     lead = np.take_along_axis(
         v, np.argmax(np.abs(v) > 1e-9, axis=-1)[..., None], axis=-1)
-    out = np.zeros(v.shape[:-1] + (6,), dtype=complex)
-    out[..., offset:offset + 3] = np.where(
-        bad[..., None], 0.0, v * (np.conj(lead) / np.abs(lead)))
-    return out, bad
+    return np.where(bad[..., None], 0.0, v * (np.conj(lead) / np.abs(lead))), bad
 
 
 def rotation_grids(kx, ky, kz, names=("primary", "mirror")):

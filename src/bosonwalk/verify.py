@@ -158,8 +158,9 @@ def _check_kernel(results, rng):
     k = _safe_momenta(rng, 15)
     u = kernel.kernel_grid(*k.T)
     res = 0.0
-    for helicity, phi in enumerate(_phases(k)):
-        vec = kernel.forward_vector_grids(*k.T, helicity)[0]
+    for (helicity, phi), (_, o) in zip(enumerate(_phases(k)), kernel.BRANCHES):
+        block = kernel.forward_vector_grids(*k.T, helicity)[0]
+        vec = np.pad(block, ((0, 0), (o, 3 - o)))  # the block in its place
         moved = (u @ vec[..., None])[..., 0] - np.exp(-1j * phi)[:, None] * vec
         res = max(res, np.max(np.abs(moved)),
                   np.max(np.abs(np.linalg.norm(vec, axis=-1) - 1.0)))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,18 @@ def write_catalog(tmp_path, payload):
 def test_load_rejects_invalid_json(tmp_path):
     path = write_catalog(tmp_path, "[{not json")
     with pytest.raises(CatalogParseError, match="line"):
+        load_experiments(path)
+
+
+@pytest.mark.parametrize("payload, cause", [
+    (b"[" * 100000, "maximum recursion depth exceeded"),
+    (b'[{"id": "\xff"}]', "'utf-8' codec can't decode byte 0xff in position 9"),
+])
+def test_load_rejects_deep_nesting_and_undecodable_bytes(tmp_path, payload, cause):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(payload)
+    with pytest.raises(CatalogParseError,
+                       match=f"^{re.escape(f'{path}: invalid JSON: {cause}')}"):
         load_experiments(path)
 
 

@@ -308,6 +308,30 @@ def test_propagate_rejects_malformed_json(tmp_path):
     assert run_cli("propagate", "--packet", str(path)) == 2
 
 
+@pytest.mark.parametrize("payload, cause", [
+    (b"[" * 100000, "maximum recursion depth exceeded while decoding a JSON "
+                    "array from a unicode string"),
+    (b'{"kind": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 10: "
+                          "invalid start byte"),
+])
+@pytest.mark.parametrize("argv, prefix", [
+    (["propagate", "--packet"], "packet file "), (["bounds", "--experiments"], "")])
+def test_deep_nesting_and_undecodable_bytes_are_parse_errors(
+        tmp_path, capsys, payload, cause, argv, prefix):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    assert run_cli(*argv, str(path)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bosonwalk: configuration error: {prefix}{path}: invalid JSON: {cause}"]
+
+
+def test_propagate_gaussian_on_a_small_lattice_is_config_error(tmp_path, capsys):
+    packet = write_packet(tmp_path, kind="gaussian", width=math.pi / 4)
+    assert run_cli("propagate", "--packet", packet) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "bosonwalk: configuration error: gaussian packets need n >= 32, got n=16"]
+
+
 def test_propagate_missing_file_is_io_error():
     assert run_cli("propagate", "--packet", "/nonexistent/packet.json") == 3
 

@@ -172,6 +172,11 @@ def test_packet_lattice_compatibility_checks():
         # sigma above the zone-narrowness cap pi / 8
         make_wavepacket(Lattice(64), WavePacketSpec(
             "gaussian", (0.4, 0, 0), (0, 0, 0), 0.5))
+    with pytest.raises(PacketSpecError,
+                       match="^gaussian packets need n >= 32, got n=16$"):
+        # the floor 4 pi / n passes the cap pi / 8 below n = 32
+        make_wavepacket(lat, WavePacketSpec(
+            "gaussian", (0.4, 0, 0), (0, 0, 0), np.pi / 4))
 
 
 def test_sinc_packet_is_uniform_over_snapped_cube():
@@ -803,7 +808,9 @@ def uncut_gaussian(lat, spec):
     d2 = sum(((g - c + np.pi) % (2.0 * np.pi) - np.pi) ** 2
              for g, c in zip(grids, k0.as_array()))
     plane = np.exp(-1j * sum(g * x for g, x in zip(grids, spec.x0)))
-    u = (forward_vector_grids(*grids, spec.helicity)[0] if spec.per_mode_internal
+    offset = BRANCHES[spec.helicity][1]
+    u = (np.pad(forward_vector_grids(*grids, spec.helicity)[0],
+                [(0, 0)] * 3 + [(offset, 3 - offset)]) if spec.per_mode_internal
          else positive_energy_vector(k0, spec.helicity))
     amp = (np.exp(-d2 / (4.0 * spec.width**2)) * plane)[..., None] * u
     return LatticeState(lat, "momentum", amp / np.linalg.norm(amp))
@@ -928,22 +935,22 @@ def test_memory_estimate_covers_the_measured_peak(n, spec, samples):
 
 
 def test_benchmark_packet_peaks_under_256_bytes_per_window_mode():
-    # the packet is built as its one block, split in place and sampled into
-    # one buffer; building all six components and splitting copies of them
-    # took about 385 bytes per window mode
+    # the packet, with its internal state frozen or per mode, is built as
+    # its one block, split in place and sampled into one buffer
     lat = Lattice(64)
     window, _ = _packet_window(lat, BENCHMARK_PACKET)
     modes = np.prod([len(w) for w in window])
-    _packet_parts.cache_clear()
-    tracemalloc.start()
-    try:
-        measure_group_velocity(lat, BENCHMARK_PACKET, 16, 1)
-        predicted_packet_velocity(lat, BENCHMARK_PACKET)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    for spec in (BENCHMARK_PACKET, replace(BENCHMARK_PACKET, per_mode_internal=True)):
         _packet_parts.cache_clear()
-    assert peak <= 256 * modes + 17 * _BYTES_PER_SAMPLE
+        tracemalloc.start()
+        try:
+            measure_group_velocity(lat, spec, 16, 1)
+            predicted_packet_velocity(lat, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _packet_parts.cache_clear()
+        assert peak <= 256 * modes + 17 * _BYTES_PER_SAMPLE, spec
 
 
 def test_over_budget_packet_is_refused_before_allocating(monkeypatch):
