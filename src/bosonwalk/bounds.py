@@ -22,7 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
-from . import CONSTANTS, RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX
+from . import CONSTANTS, RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX, budget
 from .errors import (
     ArgumentOutOfRangeError,
     CatalogParseError,
@@ -287,16 +287,20 @@ def _parse_record(item, index: int) -> ExperimentRecord:
 
 
 def load_experiments(path) -> list[ExperimentRecord]:
-    """Parse and validate a JSON experiment catalog."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CatalogParseError(
-                f"{path}: invalid JSON at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}") from exc
-        except (RecursionError, UnicodeDecodeError) as exc:
-            raise CatalogParseError(f"{path}: invalid JSON: {exc}") from None
+    """Parse and validate a JSON experiment catalog; a file of more bytes
+    than the memory budget over _CATALOG_BYTES_PER_FILE_BYTE is refused
+    before it is parsed."""
+    limit = int(min(budget._memory_budget(), 2**62)
+                // budget._CATALOG_BYTES_PER_FILE_BYTE)
+    try:
+        payload = json.loads(budget._read_text(path, limit, CatalogParseError,
+                                               path))
+    except json.JSONDecodeError as exc:
+        raise CatalogParseError(
+            f"{path}: invalid JSON at line {exc.lineno}, "
+            f"column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, UnicodeDecodeError) as exc:
+        raise CatalogParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise CatalogParseError(f"{path}: top level must be a JSON array")
     records = []

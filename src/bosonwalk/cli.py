@@ -212,8 +212,9 @@ def cmd_surface(args) -> int:
 def _load_packet_config(path) -> dict:
     import json
     try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = json.loads(budget._read_text(path, budget._PACKET_FILE_BYTES,
+                                           errors.PacketSpecError,
+                                           f"packet file {path}"))
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise errors.PacketSpecError(f"packet file {path}: invalid JSON: {exc}")
     if not isinstance(raw, dict):

@@ -9,6 +9,10 @@ class ArgumentOutOfRangeError(WalkError):
     """An argument or setting lies outside the values it may take."""
 
 
+class InvalidArgumentError(WalkError, ValueError):
+    """An argument has the wrong shape, basis or value; a ValueError too."""
+
+
 class DegenerateSpectrumError(WalkError):
     """A mode operation hit a point where eigenvalue branches merge."""
 

@@ -33,6 +33,7 @@ from .algebra import Axis, build_gamma
 from .errors import (
     ArgumentOutOfRangeError,
     DegenerateSpectrumError,
+    InvalidArgumentError,
     SeriesOutOfRangeError,
     ZeroMomentumError,
 )
@@ -76,7 +77,8 @@ def _components(kappa) -> np.ndarray:
         return kappa.as_array()
     arr = np.asarray(kappa, dtype=float)
     if arr.shape != (3,):
-        raise ValueError(f"expected 3 momentum components, got shape {arr.shape}")
+        raise InvalidArgumentError(
+            f"expected 3 momentum components, got shape {arr.shape}")
     return arr
 
 

@@ -37,6 +37,7 @@ from . import budget
 from .algebra import Axis, build_projectors
 from .errors import (
     BasisMismatchError,
+    InvalidArgumentError,
     PacketSpecError,
     UndefinedCentroidError,
 )
@@ -67,7 +68,8 @@ class Lattice:
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"lattice size must be even and >= 4, got {self.n}")
+            raise InvalidArgumentError(
+                f"lattice size must be even and >= 4, got {self.n}")
 
     @property
     def sites(self) -> int:
@@ -95,14 +97,14 @@ class LatticeState:
 
     def __post_init__(self):
         if self.basis not in (POSITION, MOMENTUM):
-            raise ValueError(f"unknown basis {self.basis!r}")
+            raise InvalidArgumentError(f"unknown basis {self.basis!r}")
         expected = (self.lattice.n,) * 3 + (6,)
         if self.amplitudes.shape != expected:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"amplitude shape {self.amplitudes.shape} != {expected}")
         nrm = self.norm()
         if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"state norm {nrm!r} is not 1")
+            raise InvalidArgumentError(f"state norm {nrm!r} is not 1")
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
@@ -327,7 +329,7 @@ def evolve_spectral(state: LatticeState, steps: int) -> LatticeState:
     evaluation.  Accepts either basis and returns the same basis.
     """
     if steps < 0 or int(steps) != steps:
-        raise ValueError(f"steps must be a nonnegative integer, got {steps}")
+        raise InvalidArgumentError(f"steps must be a nonnegative integer, got {steps}")
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
     amp = work.amplitudes.copy()
@@ -356,7 +358,7 @@ def evolve_direct(state: LatticeState, steps: int) -> LatticeState:
     independent evolution route.
     """
     if steps < 0 or int(steps) != steps:
-        raise ValueError(f"steps must be a nonnegative integer, got {steps}")
+        raise InvalidArgumentError(f"steps must be a nonnegative integer, got {steps}")
     came_from_momentum = state.basis == MOMENTUM
     work = to_position(state) if came_from_momentum else state
     amp = work.amplitudes.copy()
@@ -435,12 +437,13 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     all samples and axes, in sites.
     """
     if sample_every < 1 or int(sample_every) != sample_every:
-        raise ValueError(f"sample_every must be a positive integer, got {sample_every}")
+        raise InvalidArgumentError(
+            f"sample_every must be a positive integer, got {sample_every}")
     if 2 * sample_every >= lattice.n:  # exact for any integer n
-        raise ValueError(
+        raise InvalidArgumentError(
             f"sample_every {sample_every} >= n/2 breaks trajectory unwrapping")
     if steps < sample_every:
-        raise ValueError("need at least one sampling interval")
+        raise InvalidArgumentError("need at least one sampling interval")
     samples = steps // sample_every + 1
     budget._refuse_over_budget(samples * budget._BYTES_PER_SAMPLE,
                                f"{samples} trajectory samples")

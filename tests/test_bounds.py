@@ -1,14 +1,19 @@
 """Constraint records, spacing bounds, time lags, and the bundled catalog."""
 
+import csv
 import json
 import math
 import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonwalk.anisotropy import RMS_SOLID_ANGLE, SPREAD_MAX
 from bosonwalk.bounds import (
+    NORMALIZATIONS,
     BoundResult,
     CatalogOptions,
     ExperimentRecord,
@@ -370,3 +375,105 @@ def test_load_rejects_bad_enum_values(tmp_path):
         "id": "x", "kind": "telepathy", "source": "t"}])
     with pytest.raises(CatalogValidationError, match="kind"):
         load_experiments(path)
+
+
+# ------------------------------------------------------------ bound algebra
+
+# physical ranges, far from the float range's edges, so that every product
+# below is a normal float; a few repeated values give ties in run_catalog
+energies = st.one_of(st.floats(1e10, 1e25), st.sampled_from([1e19, 3e19]))
+speed_limits = st.one_of(st.floats(1e-20, 1e-3), st.sampled_from([1e-18]))
+wavelengths = st.one_of(st.floats(1e-9, 1e2), st.sampled_from([1e-6]))
+spreads = st.one_of(st.floats(0.01, 100.0), st.floats(0.99, 1.01),
+                    st.just(SPREAD_MAX))
+
+
+def _dispersion_records(order=st.just(1)):
+    return st.builds(
+        ExperimentRecord, id=st.just("r"), kind=st.just("dispersion"),
+        source=st.just("fuzz"), e_qg_lower_bound=energies, liv_order=order,
+        sign=st.sampled_from([1, -1]))
+
+
+resonator_records = st.builds(
+    ExperimentRecord, id=st.just("r"), kind=st.just("anisotropy"),
+    source=st.just("fuzz"), delta_c_over_c=speed_limits, wavelength=wavelengths)
+catalog_records = st.lists(st.one_of(
+    _dispersion_records(st.sampled_from([1, 2])), resonator_records),
+    min_size=1, max_size=8).map(
+        lambda records: [replace(r, id=f"r{i}") for i, r in enumerate(records)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(record=_dispersion_records(),
+       normalization=st.sampled_from(sorted(NORMALIZATIONS)))
+def test_property_dispersion_bound_times_scale_is_hbar_c(record, normalization):
+    constants, rms = PhysicalConstants(), NORMALIZATIONS[normalization]
+    dx = dispersion_bound(record, constants, rms, normalization).delta_x_upper_bound
+    # four roundings: r E, the quotient, and the two products here
+    assert abs(dx * rms * record.e_qg_lower_bound - constants.hbar_c) \
+        <= 4 * math.ulp(constants.hbar_c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(record=resonator_records, spread=spreads)
+def test_property_resonator_readings_multiply_to_scale_squared(record, spread):
+    constants = PhysicalConstants()
+    compat, first = (anisotropy_bound(record, constants, spread, paper_compat)
+                     for paper_compat in (True, False))
+    a, b = compat.delta_x_upper_bound, first.delta_x_upper_bound
+    scale = record.delta_c_over_c * record.wavelength / (2.0 * math.pi)
+    assert abs(a * b - scale**2) <= 4 * math.ulp(scale**2)
+    # the other reading is reported exactly when the two differ by over 1%
+    ambiguous = abs(a - b) > 0.01 * max(a, b)
+    for result, other in ((compat, b), (first, a)):
+        assert (result.note is not None) is ambiguous
+        assert result.alternate_delta_x_upper_bound == (other if ambiguous else None)
+
+
+def _ties_as_sets(entries):
+    """The numeric entries' bounds in order, each with the set of its ids."""
+    groups = {}
+    for e in entries:
+        if isinstance(e, BoundResult):
+            groups.setdefault(e.delta_x_upper_bound, set()).add(e.experiment_id)
+    return list(groups.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=catalog_records, data=st.data())
+def test_property_run_catalog_order_ignores_input_order(records, data):
+    shuffled = data.draw(st.permutations(records))
+    constants = PhysicalConstants()
+    entries = run_catalog(records, constants)
+    numeric = [e for e in entries if isinstance(e, BoundResult)]
+    assert entries[:len(numeric)] == numeric  # numbers first, then notes
+    bounds = [e.delta_x_upper_bound for e in numeric]
+    assert bounds == sorted(bounds)
+    assert _ties_as_sets(run_catalog(shuffled, constants)) == _ties_as_sets(entries)
+
+
+@settings(max_examples=20, deadline=None)
+@given(records=catalog_records, compat=st.booleans())
+def test_property_csv_and_json_carry_the_same_numbers(tmp_path_factory, records,
+                                                      compat):
+    tmp = tmp_path_factory.mktemp("catalog")
+    catalog = tmp / "catalog.json"
+    catalog.write_text(json.dumps([
+        {k: v for k, v in asdict(r).items() if v is not None} for r in records]))
+    flag = "--paper-compat" if compat else "--no-paper-compat"
+    for fmt in ("csv", "json"):
+        assert cli_main(["bounds", "--experiments", str(catalog), flag,
+                         "--format", fmt, "--out", str(tmp / fmt)]) == 0
+    with open(tmp / "csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    items = json.loads((tmp / "json").read_text())
+    assert [row["id"] for row in rows] == [item["experiment_id"] for item in items]
+    for row, item in zip(rows, items):
+        if "delta_x_upper_bound" in item:
+            assert float(row["delta_x_m"]) == item["delta_x_upper_bound"]
+            assert float(row["ratio_to_planck"]) == item["ratio_to_planck"]
+            assert row["normalization"] == item["normalization_used"]
+        else:
+            assert (row["delta_x_m"], row["ratio_to_planck"]) == ("", "")
+            assert row["normalization"] == item["note"]

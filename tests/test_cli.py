@@ -168,8 +168,9 @@ def test_surface_json_streams_without_holding_its_text(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_surface_peaks_under_180_bytes_per_point(fmt):
-    # np.unique's copies of the value bits peaked at 253 bytes per point
+def test_surface_peaks_under_128_bytes_per_point(fmt):
+    # np.unique's copies of the value bits peaked at 253 bytes per point, and
+    # full m^3 index grids held beside the strings at 133 (csv) and 137 (json)
     for _ in _surface_chunks(2, fmt):  # what a first call imports is not counted
         pass
     tracemalloc.start()
@@ -179,7 +180,7 @@ def test_surface_peaks_under_180_bytes_per_point(fmt):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 180 * 48**3
+    assert peak < 128 * 48**3
 
 
 # ---------------------------------------------------------------- propagate
@@ -323,6 +324,32 @@ def test_deep_nesting_and_undecodable_bytes_are_parse_errors(
     assert run_cli(*argv, str(path)) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"bosonwalk: configuration error: {prefix}{path}: invalid JSON: {cause}"]
+
+
+@pytest.mark.parametrize("source", ["/dev/zero", "padded"])
+@pytest.mark.parametrize("argv, prefix, text", [
+    (["propagate", "--packet"], "packet file ", json.dumps(PACKET)),
+    (["bounds", "--experiments"], "", "[]")])
+def test_input_files_over_their_cap_are_refused_unparsed(
+        tmp_path, capsys, monkeypatch, source, argv, prefix, text):
+    # a packet file may hold 1 MiB; a catalog 1/64 of the memory budget
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 4 << 20)
+    limit = (budget._PACKET_FILE_BYTES if prefix else
+             (4 << 20) // budget._CATALOG_BYTES_PER_FILE_BYTE)
+    if source == "/dev/zero" and not os.path.exists(source):
+        pytest.skip("no /dev/zero")
+    path = tmp_path / "input.json"
+    path.write_text(text.ljust(limit))  # valid, and exactly at the cap
+    assert run_cli(*argv, str(path)) == 0
+    capsys.readouterr()
+    if source == "padded":
+        path.write_text(text.ljust(limit + 1))
+    else:
+        path = source
+    assert run_cli(*argv, str(path)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bosonwalk: configuration error: {prefix}{path}: "
+        f"larger than {limit} bytes"]
 
 
 def test_propagate_gaussian_on_a_small_lattice_is_config_error(tmp_path, capsys):
@@ -902,6 +929,31 @@ fuzz_packets = _mutated(st.one_of(
 })), list(PACKET_FIELDS) + ["extra"])
 
 
+def _recorded_main(argv):
+    """main(argv); an exit 2 must come from a WalkError that the command
+    raised, not from any other ValueError."""
+    raised = []
+
+    def recorded(command):
+        def run(args):
+            try:
+                return command(args)
+            except BaseException as exc:
+                raised.append(exc)
+                raise
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("cmd_surface", "cmd_propagate", "cmd_anisotropy",
+                     "cmd_bounds", "cmd_verify"):
+            patch.setattr(cli, name, recorded(getattr(cli, name)))
+        code = main(argv)
+    if code == 2:
+        assert len(raised) == 1 and isinstance(raised[0], errors.WalkError), \
+            repr(raised)
+    return code
+
+
 def _run_on_file(payload, argv):
     """(exit code, stdout, stderr) of main on `payload` written as JSON."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -912,7 +964,7 @@ def _run_on_file(payload, argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main([*argv, path])
+            code = _recorded_main([*argv, path])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -1042,7 +1094,7 @@ def test_property_fuzzed_command_lines_exit_cleanly(command, size, fmt, out,
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO() if stdout_open else None), \
                 contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = _recorded_main(argv)
     event(f"{command} exit {code}")
     assert code in (0, 2, 3, 4) or code == 1 and command == "verify"
     assert len(err.getvalue().splitlines()) <= (code != 0)

@@ -542,6 +542,60 @@ def test_property_scalar_phase_is_phase_grid_off_the_axes(k):
         assert mirror_phase(row) == mirror[i]
 
 
+def _near_pi(k1, k2, sign, offset):
+    """A momentum whose block of the given sign (-1 primary, +1 mirror) turns
+    by pi, up to `offset` in kz: there c1 c2 c3 = sign s1 s2 s3."""
+    a, b = 0.5 * k1, 0.5 * k2
+    tangent = sign * math.sin(a) * math.sin(b)
+    half = math.atan(math.cos(a) * math.cos(b) / tangent) if tangent else math.pi / 2
+    return (k1, k2, min(max(2.0 * half + offset, -math.pi), math.pi))
+
+
+# float64 squares of components below 1e-150 fall out of the normal range,
+# and rotation_grids then returns phi = 0 for |kappa| < 1e-154; the zone
+# below keeps such components at exactly zero
+zone = st.floats(-math.pi, math.pi).map(lambda c: c if abs(c) >= 1e-150 else 0.0)
+oracle_momenta = st.lists(st.one_of(
+    st.tuples(zone, zone, zone),
+    st.builds(_near_pi, zone, zone, st.sampled_from([-1.0, 1.0]),
+              st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)))),
+    min_size=1, max_size=8)
+
+
+def _exact_rotation(k, sign, mpmath):
+    """(phi, unit axis, q0) of one block's quaternion at 200 bits."""
+    with mpmath.workprec(200):
+        half = [mpmath.mpf(float(c)) / 2 for c in k]
+        c1, c2, c3 = (mpmath.cos(h) for h in half)
+        s1, s2, s3 = (sign * mpmath.sin(h) for h in half)
+        q0 = c1 * c2 * c3 - s1 * s2 * s3
+        v = (c2 * c3 * s1 + c1 * s2 * s3, c1 * c3 * s2 - c2 * s1 * s3,
+             c1 * c2 * s3 + c3 * s1 * s2)
+        v_norm = mpmath.sqrt(sum(x * x for x in v))
+        axis = [(-x if q0 < 0 else x) / v_norm if v_norm else x * 0 for x in v]
+        return 2 * mpmath.atan2(v_norm, abs(q0)), axis, q0
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=oracle_momenta)
+def test_property_rotation_grids_match_a_200_bit_oracle(k):
+    # the quaternion angle and axis to a few ulp over the zone and near
+    # phi = pi; there n and -n are the same rotation, so the axis may flip
+    # sign only where the exact q0 is within rounding of zero
+    mpmath = pytest.importorskip("mpmath")
+    k = np.array(k)
+    rotations = rotation_grids(*k.T)
+    for (name, _), sign in zip(BRANCHES, (-1, 1)):
+        phi, axis = rotations[name]["phase"], rotations[name]["axis"]
+        for i, point in enumerate(k):
+            exact_phi, exact_axis, q0 = _exact_rotation(point, sign, mpmath)
+            assert abs(phi[i] - exact_phi) <= 4 * math.ulp(float(exact_phi))
+            errors = [max(abs(flip * a - e) for a, e in zip(axis[i], exact_axis))
+                      for flip in (1, -1)]
+            assert min(errors) <= 2 * np.finfo(float).eps
+            assert errors[0] <= errors[1] or abs(q0) <= 4 * np.finfo(float).eps
+
+
 @settings(max_examples=60, deadline=None)
 @given(k=momentum_batches)
 def test_property_rotation_grids_rebuild_the_kernel_blocks(k):
