@@ -8,6 +8,7 @@ Submodules:
 - anisotropy: direction dependence of the propagation speed on the sphere
 - bounds:     observational constraints converted to lattice-spacing bounds
 - budget:     the memory budget oversized runs are refused by
+- errors:     the typed errors, every one exported here as well
 - verify:     named invariant checks spanning all of the above
 - cli:        command-line interface (surface/propagate/anisotropy/bounds/verify)
 """
@@ -33,31 +34,11 @@ RMS_UNIT_AVERAGE = 1.0 / math.sqrt(105.0)
 RMS_SOLID_ANGLE = math.sqrt(4.0 * math.pi / 105.0)
 SPREAD_MAX = 2.0 / (3.0 * math.sqrt(3.0))
 
-from .errors import (
-    ArgumentOutOfRangeError,
-    BasisMismatchError,
-    CatalogParseError,
-    CatalogValidationError,
-    DegenerateSpectrumError,
-    MemoryBudgetError,
-    MissingWavelengthError,
-    PacketSpecError,
-    SeriesOutOfRangeError,
-    UndefinedCentroidError,
-    UnsupportedOrderError,
-    WalkError,
-    ZeroMomentumError,
-)
+from . import errors
+from .errors import *  # noqa: F403 -- errors defines the error classes only
 
-__all__ = [
-    "__version__",
-    "algebra", "anisotropy", "bounds", "kernel", "lattice",
-    "WalkError", "ArgumentOutOfRangeError", "BasisMismatchError",
-    "CatalogParseError", "CatalogValidationError", "DegenerateSpectrumError",
-    "MemoryBudgetError", "MissingWavelengthError", "PacketSpecError",
-    "SeriesOutOfRangeError", "UndefinedCentroidError", "UnsupportedOrderError",
-    "ZeroMomentumError",
-]
+__all__ = ["__version__", "algebra", "anisotropy", "bounds", "kernel", "lattice",
+           *(name for name in vars(errors) if not name.startswith("_"))]
 
 _SUBMODULES = ("algebra", "anisotropy", "bounds", "kernel", "lattice")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import permutations, product
 
 import numpy as np
 
@@ -142,33 +143,19 @@ def verify_projector_conditions(tolerance: float = 1e-14) -> ConditionReport:
     checks: list[ConditionCheck] = []
     c_estimates: list[float] = []
     cp_estimates: list[float] = []
-
-    def sandwich_residual(outer, inner, store):
-        mid = outer @ inner @ outer
-        coeff = np.trace(mid).real / np.trace(outer).real
-        store.append(coeff)
-        return float(np.abs(mid - coeff * outer).max()), coeff
-
-    for i in Axis:
-        for j in Axis:
-            if i == j:
+    for i, j in permutations(Axis, 2):
+        for outer, inner in product(("plus", "minus", "zero"), repeat=2):
+            po, pj = getattr(triples[i], outer), getattr(triples[j], inner)
+            if outer == inner == "zero":
+                checks.append(ConditionCheck(f"{i.name}zero.{j.name}zero",
+                                             float(np.abs(po @ pj).max())))
                 continue
-            pi, pj = triples[i], triples[j]
-            for k_name, pik in (("plus", pi.plus), ("minus", pi.minus)):
-                for t_name, pjt in (("plus", pj.plus), ("minus", pj.minus)):
-                    r, _ = sandwich_residual(pik, pjt, c_estimates)
-                    checks.append(ConditionCheck(
-                        f"{i.name}{k_name}.{j.name}{t_name}.{i.name}{k_name}", r))
-                r, _ = sandwich_residual(pik, pj.zero, cp_estimates)
-                checks.append(ConditionCheck(
-                    f"{i.name}{k_name}.{j.name}zero.{i.name}{k_name}", r))
-            for t_name, pjt in (("plus", pj.plus), ("minus", pj.minus)):
-                r, _ = sandwich_residual(pi.zero, pjt, cp_estimates)
-                checks.append(ConditionCheck(
-                    f"{i.name}zero.{j.name}{t_name}.{i.name}zero", r))
+            mid = po @ pj @ po
+            coeff = np.trace(mid).real / np.trace(po).real
+            (cp_estimates if "zero" in (outer, inner) else c_estimates).append(coeff)
             checks.append(ConditionCheck(
-                f"{i.name}zero.{j.name}zero",
-                float(np.abs(pi.zero @ pj.zero).max())))
+                f"{i.name}{outer}.{j.name}{inner}.{i.name}{outer}",
+                float(np.abs(mid - coeff * po).max())))
 
     c_side = float(np.mean(c_estimates))
     c_zero = float(np.mean(cp_estimates))

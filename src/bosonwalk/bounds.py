@@ -76,6 +76,9 @@ class ExperimentRecord:
     delta_c_over_c: Optional[float] = None    # anisotropy only
     wavelength: Optional[float] = None        # m, anisotropy only
 
+    def __post_init__(self):
+        self.validate()  # so every record in hand is valid
+
     def validate(self) -> None:
         # NaN passes every ordered comparison below, so test it first
         for name in ("e_qg_lower_bound", "delta_c_over_c", "wavelength"):
@@ -165,7 +168,6 @@ def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
             f"record {record.id!r} constrains quadratic-order dispersion; "
             "the model's leading speed correction is linear, so this record "
             "does not translate into a spacing bound")
-    record.validate()
     try:
         dx = constants.hbar_c / (rms_factor * record.e_qg_lower_bound)
     except ZeroDivisionError:  # a subnormal E_QG times rms_factor rounds to 0
@@ -195,7 +197,6 @@ def anisotropy_bound(record: ExperimentRecord, constants: PhysicalConstants,
             f"record {record.id!r} is not an anisotropy record")
     if spread_factor <= 0:
         raise ArgumentOutOfRangeError("spread_factor must be positive")
-    record.validate()
     if record.wavelength is None:
         raise MissingWavelengthError(
             f"record {record.id!r} has no wavelength; the photon energy "
@@ -307,7 +308,6 @@ def load_experiments(path) -> list[ExperimentRecord]:
     seen = set()
     for index, item in enumerate(payload):
         record = _parse_record(item, index)
-        record.validate()
         if record.id in seen:
             raise CatalogValidationError(f"duplicate record id {record.id!r}")
         seen.add(record.id)
@@ -347,7 +347,6 @@ def run_catalog(records, constants: PhysicalConstants,
     numeric = []
     annotated = []
     for record in records:
-        record.validate()
         if record.kind == DISPERSION and record.liv_order == 2:
             annotated.append(UnsupportedEntry(
                 experiment_id=record.id,

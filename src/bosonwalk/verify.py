@@ -76,21 +76,17 @@ def _check_algebra(results):
         res = max(res, np.max(np.abs(comm - 1j * js[k])))
     results.append(_result("algebra.spin_commutators", res, 1e-15))
 
-    res = 0.0
+    resolution = recombination = 0.0
     for a in algebra.Axis:
-        t = algebra.build_projectors(a)
-        res = max(res, np.max(np.abs(t.plus + t.zero + t.minus - np.eye(6))))
-        res = max(res, abs(np.trace(t.plus).real - 2.0))
-        res = max(res, abs(np.trace(t.minus).real - 2.0))
-    results.append(_result("algebra.projector_resolution", res, 1e-14))
-
-    res = 0.0
-    for a in algebra.Axis:
-        g = algebra.build_gamma(a)
-        t = algebra.build_projectors(a)
-        res = max(res, np.max(np.abs(t.plus - t.minus - g)))
-        res = max(res, np.max(np.abs(t.plus + t.minus - g @ g)))
-    results.append(_result("algebra.projector_recombination", res, 1e-14))
+        g, t = algebra.build_gamma(a), algebra.build_projectors(a)
+        resolution = max(resolution,
+                         np.max(np.abs(t.plus + t.zero + t.minus - np.eye(6))),
+                         abs(np.trace(t.plus).real - 2.0),
+                         abs(np.trace(t.minus).real - 2.0))
+        recombination = max(recombination, np.max(np.abs(t.plus - t.minus - g)),
+                            np.max(np.abs(t.plus + t.minus - g @ g)))
+    results.append(_result("algebra.projector_resolution", resolution, 1e-14))
+    results.append(_result("algebra.projector_recombination", recombination, 1e-14))
 
 
 # ------------------------------------------------------------------- kernel

@@ -173,6 +173,29 @@ def test_resonator_bound_requires_wavelength():
         anisotropy_bound(rec, PhysicalConstants())
 
 
+INVALID_CHANGES = [
+    (GRB_SUB, {"sign": 0}, "record 'grb-sub': sign must be +1 or -1"),
+    (GRB_SUB, {"liv_order": 3}, "record 'grb-sub': liv_order must be 1 or 2"),
+    (GRB_SUB, {"e_qg_lower_bound": math.nan},
+     "record 'grb-sub': e_qg_lower_bound must be finite"),
+    (GRB_SUB, {"kind": "other"}, "record 'grb-sub': unknown kind 'other'"),
+    (RESONATOR, {"delta_c_over_c": None},
+     "record 'resonator': delta_c_over_c must be positive"),
+    (RESONATOR, {"wavelength": -1e-6},
+     "record 'resonator': wavelength must be positive"),
+]
+
+
+@pytest.mark.parametrize("record, change, message", INVALID_CHANGES)
+def test_an_invalid_record_cannot_be_built(record, change, message):
+    # validate() runs when a record is built, so no invalid record exists
+    with pytest.raises(CatalogValidationError) as built:
+        ExperimentRecord(**{**asdict(record), **change})
+    with pytest.raises(CatalogValidationError) as replaced:
+        replace(record, **change)
+    assert str(built.value) == str(replaced.value) == message
+
+
 # ---------------------------------------------------------------- time lag
 
 def test_time_lag_zero_for_equal_energies():

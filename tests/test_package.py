@@ -165,3 +165,13 @@ def test_star_import_binds_every_public_name():
                     "print(json.dumps([n for n in bosonwalk.__all__"
                     " if n not in names]))")
     assert missing == []
+
+
+def test_every_error_class_is_exported():
+    from bosonwalk import errors
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.WalkError)]
+    assert errors.InvalidArgumentError in classes
+    for cls in classes:
+        assert cls.__name__ in bosonwalk.__all__
+        assert getattr(bosonwalk, cls.__name__) is cls

@@ -41,16 +41,16 @@ def _uniform_state():
 
 REFUSALS = {
     "record sign": (
-        lambda tmp: _grb(sign=0).validate(), CatalogValidationError,
+        lambda tmp: _grb(sign=0), CatalogValidationError,
         "record 'r': sign must be +1 or -1"),
     "record delta_c_over_c zero": (
-        lambda tmp: _resonator(delta_c_over_c=0.0).validate(),
+        lambda tmp: _resonator(delta_c_over_c=0.0),
         CatalogValidationError, "record 'r': delta_c_over_c must be positive"),
     "record delta_c_over_c missing": (
-        lambda tmp: _resonator(delta_c_over_c=None).validate(),
+        lambda tmp: _resonator(delta_c_over_c=None),
         CatalogValidationError, "record 'r': delta_c_over_c must be positive"),
     "record wavelength": (
-        lambda tmp: _resonator(wavelength=-1e-6).validate(),
+        lambda tmp: _resonator(wavelength=-1e-6),
         CatalogValidationError, "record 'r': wavelength must be positive"),
     "anisotropy bound of a dispersion record": (
         lambda tmp: anisotropy_bound(_grb(sign=1), PhysicalConstants()),
