@@ -18,7 +18,7 @@ from .errors import MemoryBudgetError
 _SURFACE_BYTES_PER_POINT = 320     # surface point: 121 at m = 48, 125 at 64
 _ANISOTROPY_BYTES_PER_POINT = 512  # anisotropy point: text or doubled grid
 _BYTES_PER_AXIS_MODE = 128         # lattice axis mode: 41 in per-axis arrays
-_BYTES_PER_WINDOW_MODE = 512       # packet mode: 235, or 249 per-mode internal
+_BYTES_PER_WINDOW_MODE = 512       # packet mode: measure 235, build 144 (per-mode 249)
 _BYTES_PER_SAMPLE = 1024           # trajectory sample
 _CATALOG_BYTES_PER_FILE_BYTE = 64  # catalog file byte: 28 parsed, 6 as text
 _PACKET_FILE_BYTES = 1 << 20       # the whole packet file (under 1 kB)

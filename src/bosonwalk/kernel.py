@@ -256,6 +256,12 @@ def mode_decomposition(kappa) -> ModeDecomposition:
     )
 
 
+def _branch(helicity_index) -> tuple[str, int]:
+    if helicity_index not in (0, 1):
+        raise ArgumentOutOfRangeError("helicity_index must be 0 or 1")
+    return BRANCHES[int(helicity_index)]
+
+
 def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     """Deterministic unit eigenvector of a forward mode of U(kappa).
 
@@ -264,9 +270,7 @@ def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     vector (eigenvalue exp(-i mirror_phase(kappa)), upper block).  The two
     are orthonormal.  Construction as in `forward_vector_grids`.
     """
-    if helicity_index not in (0, 1):
-        raise ArgumentOutOfRangeError("helicity_index must be 0 or 1")
-    k, (name, offset) = _components(kappa), BRANCHES[helicity_index]
+    (name, offset), k = _branch(helicity_index), _components(kappa)
     _nondegenerate_phases(kappa, rotation_grids(*k, (name,)))
     return np.pad(forward_vector_grids(*k, helicity_index)[0], (offset, 3 - offset))
 
@@ -439,7 +443,7 @@ def forward_vector_grids(kx, ky, kz, helicity_index: int = 0):
     normalized, with the first component over 1e-9 in modulus made real
     positive.
     """
-    name = BRANCHES[helicity_index][0]
+    name = _branch(helicity_index)[0]
     rotation = rotation_grids(kx, ky, kz, (name,))[name]
     n, bad = rotation["axis"], rotation["degenerate"]
     pick = np.argmin(np.abs(n), axis=-1)[..., None]

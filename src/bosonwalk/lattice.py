@@ -20,9 +20,8 @@ zero keeps the shifted overlaps exact.  Work scales with that window; a
 Gaussian packet is cut to zero below AMPLITUDE_CUT of its peak along each
 axis, so its window is a box about 24 sigma wide: 49 or 50 modes per axis
 at the narrowest sigma = 4 pi/n, whatever n is.  A packet keeps only its
-one occupied 3-component block, split in place: measuring the benchmark
-packet peaks at 235 traced bytes per window mode (249 with a per-mode
-internal state), predicting it at 226.
+one occupied 3-component block, split in place; its traced peaks per
+window mode are beside budget._BYTES_PER_WINDOW_MODE.
 """
 
 from __future__ import annotations
@@ -138,8 +137,13 @@ def to_position(state: LatticeState) -> LatticeState:
 def snap_to_grid(k0, n: int) -> ReducedMomentum:
     """Round momentum components to the nearest lattice mode of size n."""
     k = np.asarray(k0, dtype=float)
-    modes = np.rint(k * n / (2.0 * np.pi))
-    return ReducedMomentum.wrap(*(2.0 * np.pi * modes / n))
+    with np.errstate(over="ignore"):
+        snapped = 2.0 * np.pi * np.rint(k * n / (2.0 * np.pi)) / n
+    # where k n overflows, the exact image of k in (-2 pi, 2 pi) is snapped
+    huge = np.isinf(snapped) & np.isfinite(k)
+    snapped[huge] = 2.0 * np.pi * np.rint(np.fmod(k[huge], 2.0 * np.pi) * n
+                                          / (2.0 * np.pi)) / n
+    return ReducedMomentum.wrap(*snapped)
 
 
 @dataclass(frozen=True)
@@ -239,8 +243,7 @@ def _packet_support(lattice: Lattice, spec: WavePacketSpec):
 def _packet_window(lattice: Lattice, spec: WavePacketSpec):
     """(window, block): the packet's per-axis support window and its
     normalized momentum amplitudes there, in its one block: (w0, w1, w2, 3),
-    formed from the forward eigenvector's block alone: building the benchmark
-    packet peaks at 144 traced bytes per window mode, 249 per mode internal."""
+    formed from the forward eigenvector's block alone."""
     k0, window, factors = _packet_support(lattice, spec)
     shape = tuple(map(len, window))
     budget._refuse_over_budget(
@@ -250,7 +253,11 @@ def _packet_window(lattice: Lattice, spec: WavePacketSpec):
     kxg, kyg, kzg = grids = lattice.mode_grids(window)
 
     x0 = np.asarray(spec.x0, dtype=float)
-    plane = np.exp(-1j * (kxg * x0[0] + kyg * x0[1] + kzg * x0[2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        plane = np.exp(-1j * (kxg * x0[0] + kyg * x0[1] + kzg * x0[2]))
+    if not np.isfinite(plane).all():
+        raise PacketSpecError(
+            f"x0 {x0.tolist()} is too large: its plane-wave phase overflows")
     offset = BRANCHES[spec.helicity][1]
     # with per_mode_internal, modes with no forward eigenvector get zero
     u = (forward_vector_grids(*grids, spec.helicity)[0] if spec.per_mode_internal

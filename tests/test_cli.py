@@ -904,15 +904,48 @@ valid_records = st.one_of(
         "id": st.text(min_size=1, max_size=6), "kind": st.just("anisotropy"),
         "source": st.just("fuzz"), "delta_c_over_c": positive_numbers,
     }, optional={"wavelength": positive_numbers}))
+
+
+def _or_broken_file(payloads, limit):
+    """Draws of `payloads`, or file bytes that json.dump cannot write:
+    nesting past the parser's recursion limit, invalid UTF-8, or a stream
+    one byte past the reader's `limit`."""
+    return st.one_of(payloads, st.one_of(
+        st.integers(1, 10**5).map(lambda depth: b"[" * depth + b"]" * depth),
+        st.binary(max_size=4).map(lambda raw: b'["' + raw + b'\xff"]'),
+        st.just(b"[" + b" " * limit)))
+
+
+# the catalog size limit under a 1 MiB memory budget
+CATALOG_BUDGET = 1 << 20
+CATALOG_LIMIT = CATALOG_BUDGET // budget._CATALOG_BYTES_PER_FILE_BYTE
+
 # at most one altered record and one stray element, so that most catalogs
 # reach the bound computation
-fuzz_catalogs = st.tuples(
+fuzz_catalogs = _or_broken_file(st.tuples(
     st.lists(_mutated(valid_records, record_fields), max_size=1),
     st.lists(valid_records, max_size=2),
     st.lists(fuzz_values, max_size=1),
-).map(lambda parts: [record for part in parts for record in part])
+).map(lambda parts: [record for part in parts for record in part]), CATALOG_LIMIT)
 
-fuzz_packets = _mutated(st.one_of(
+# magnitudes spread over the decades of the float range, half of them in
+# its top two, where k0 n and x0 k0 overflow
+wide_floats = st.tuples(
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.floats(-300.0, 308.25), st.floats(306.0, 308.25)),
+).map(lambda p: p[0] * 10.0 ** p[1])
+# x0 is an integer, here up to 10**308, as a JSON integer or an integral float
+wide_integers = wide_floats.filter(lambda v: abs(v) <= 1e308).map(math.floor)
+
+
+def _triples(usual, wide):
+    """Three components: all `usual` ones, or each `usual` or `wide`."""
+    return st.one_of(st.lists(usual, min_size=3, max_size=3),
+                     st.lists(st.one_of(usual, wide), min_size=3, max_size=3))
+
+
+GAUSSIAN_PACKET = {**PACKET, "kind": "gaussian", "n": 32, "width": math.pi / 8}
+fuzz_packets = _or_broken_file(_mutated(st.one_of(
     st.fixed_dictionaries({
         "kind": st.just("sinc"), "n": st.integers(6, 16).map(lambda h: 2 * h),
         "width": st.sampled_from([2, 4, 6]), "steps": st.integers(1, 1000)}),
@@ -922,11 +955,12 @@ fuzz_packets = _mutated(st.one_of(
         "width": st.just(math.pi / 8), "steps": st.integers(1, 40)}),
 ).flatmap(lambda shape: st.fixed_dictionaries({
     **{key: st.just(value) for key, value in shape.items()},
-    "k0": st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
-    "x0": st.lists(st.integers(-40, 40), min_size=3, max_size=3),
+    "k0": _triples(st.floats(-4.0, 4.0), wide_floats),
+    "x0": _triples(st.integers(-40, 40),
+                   st.one_of(wide_integers, wide_integers.map(float))),
     "helicity": st.sampled_from([0, 1]),
     "sample_every": st.integers(1, 5),
-})), list(PACKET_FIELDS) + ["extra"])
+})), list(PACKET_FIELDS) + ["extra"]), budget._PACKET_FILE_BYTES)
 
 
 def _recorded_main(argv):
@@ -955,11 +989,13 @@ def _recorded_main(argv):
 
 
 def _run_on_file(payload, argv):
-    """(exit code, stdout, stderr) of main on `payload` written as JSON."""
+    """(exit code, stdout, stderr) of main on `payload` written as JSON,
+    or written as it is if it is bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        with open(path, "wb") as handle:
+            handle.write(payload if isinstance(payload, bytes)
+                         else json.dumps(payload).encode())
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
@@ -999,9 +1035,11 @@ def _assert_clean_outcome(code, out, err, fmt):
 def test_property_fuzzed_catalogs_exit_cleanly(records, fmt, compat):
     argv = ["bounds", "--format", fmt,
             "--paper-compat" if compat else "--no-paper-compat", "--experiments"]
-    code, out, err = _run_on_file(records, argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(budget, "_memory_budget", lambda: CATALOG_BUDGET)
+        code, out, err = _run_on_file(records, argv)
     _assert_clean_outcome(code, out, err, fmt)
-    if code == 0 and fmt == "csv":
+    if code == 0 and fmt == "csv" and isinstance(records, list):
         # whatever an id holds, each record reads back as one row
         rows = list(csv.reader(io.StringIO(out, newline="")))
         assert len(rows) == len(records) + 1
@@ -1012,6 +1050,11 @@ def test_property_fuzzed_catalogs_exit_cleanly(records, fmt, compat):
 @example(packet={**PACKET, "width": 10**400}, fmt="json")
 @example(packet={**PACKET, "k0": [10**400, 0, 0]}, fmt="csv")
 @example(packet={**PACKET, "x0": [8, 8, 10**400]}, fmt="json")
+@example(packet={**PACKET, "k0": [-1e307, 0, 0]}, fmt="csv")
+@example(packet={**GAUSSIAN_PACKET, "k0": [-1e307, 0, 0]}, fmt="json")
+@example(packet={**GAUSSIAN_PACKET, "x0": [1.7e308, 0, 0]}, fmt="csv")
+@example(packet={**GAUSSIAN_PACKET, "x0": [1.7e308, 0, 0]}, fmt="json")
+@example(packet=b"[" * 10**5 + b"]" * 10**5, fmt="csv")
 def test_property_fuzzed_packets_exit_cleanly(packet, fmt):
     code, out, err = _run_on_file(
         packet, ["propagate", "--format", fmt, "--packet"])
@@ -1039,8 +1082,7 @@ fuzz_sizes = st.one_of(
 @example(flag="--steps", value=4000, kind="sinc", fmt="csv")
 def test_property_fuzzed_size_overrides_exit_cleanly(flag, value, kind, fmt):
     resource = pytest.importorskip("resource")
-    packet = (PACKET if kind == "sinc" else
-              {**PACKET, "kind": kind, "n": 32, "width": math.pi / 8})
+    packet = PACKET if kind == "sinc" else GAUSSIAN_PACKET
     # a few MiB of budget; the address-space cap turns an allocation the
     # budget failed to refuse into an error here instead of a full host
     limits = resource.getrlimit(resource.RLIMIT_AS)

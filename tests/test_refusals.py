@@ -65,12 +65,21 @@ REFUSALS = {
     "eigenvector helicity index": (
         lambda tmp: kernel.positive_energy_vector([0.1, 0.2, 0.3], 2),
         ArgumentOutOfRangeError, "helicity_index must be 0 or 1"),
+    **{f"grid eigenvector helicity index {index}": (
+        lambda tmp, index=index: kernel.forward_vector_grids(0.1, 0.2, 0.3, index),
+        ArgumentOutOfRangeError, "helicity_index must be 0 or 1")
+       for index in (-1, 2, 0.5)},
     "packet k0 of two components": (
         lambda tmp: lattice.WavePacketSpec("sinc", (0.1, 0.2), (0, 0, 0), 2),
         PacketSpecError, "k0 and x0 must have three components"),
     "packet x0 of two components": (
         lambda tmp: lattice.WavePacketSpec("sinc", (0.1, 0.2, 0.3), (0, 0), 2),
         PacketSpecError, "k0 and x0 must have three components"),
+    "packet x0 whose plane-wave phase overflows": (
+        lambda tmp: lattice.make_wavepacket(lattice.Lattice(32), lattice.WavePacketSpec(
+            "gaussian", (0.3, 0.0, 0.0), (1.7e308, 0, 0), np.pi / 8)),
+        PacketSpecError,
+        "x0 [1.7e+308, 0.0, 0.0] is too large: its plane-wave phase overflows"),
     "projection helicity": (
         lambda tmp: lattice.project_to_branch(_uniform_state(), helicity=2),
         PacketSpecError, "helicity must be 0 or 1, got 2"),
