@@ -145,17 +145,17 @@ def verify_projector_conditions(tolerance: float = 1e-14) -> ConditionReport:
     cp_estimates: list[float] = []
     for i, j in permutations(Axis, 2):
         for outer, inner in product(("plus", "minus", "zero"), repeat=2):
-            po, pj = getattr(triples[i], outer), getattr(triples[j], inner)
+            p_out, p_in = getattr(triples[i], outer), getattr(triples[j], inner)
             if outer == inner == "zero":
                 checks.append(ConditionCheck(f"{i.name}zero.{j.name}zero",
-                                             float(np.abs(po @ pj).max())))
+                                             float(np.abs(p_out @ p_in).max())))
                 continue
-            mid = po @ pj @ po
-            coeff = np.trace(mid).real / np.trace(po).real
+            mid = p_out @ p_in @ p_out
+            coeff = np.trace(mid).real / np.trace(p_out).real
             (cp_estimates if "zero" in (outer, inner) else c_estimates).append(coeff)
             checks.append(ConditionCheck(
                 f"{i.name}{outer}.{j.name}{inner}.{i.name}{outer}",
-                float(np.abs(mid - coeff * po).max())))
+                float(np.abs(mid - coeff * p_out).max())))
 
     c_side = float(np.mean(c_estimates))
     c_zero = float(np.mean(cp_estimates))
