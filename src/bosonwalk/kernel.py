@@ -40,8 +40,9 @@ from .errors import (
 
 DEGENERACY_MARGIN = 1e-9
 
-# (branch, offset of its 3-component block in the internal space)
-BRANCHES = (("primary", 3), ("mirror", 0))
+# (branch, offset of its 3-component block in the internal space, sign):
+# a branch's block at kappa is the upper (mirror) block at sign * kappa
+BRANCHES = (("primary", 3, -1.0), ("mirror", 0, 1.0))
 
 _GAMMA = tuple(build_gamma(a) for a in Axis)
 _I6 = np.eye(6, dtype=complex)
@@ -112,7 +113,7 @@ def _versine_args(kx, ky, kz):
                   for k in (kx, ky, kz))
     odd = np.sin(kx) * np.sin(ky) * np.sin(kz)
     even = wa + wb + wc - 0.5 * (wa * wb + wa * wc + wb * wc)
-    return even - 0.5 * odd, even + 0.5 * odd
+    return tuple(even + sign * 0.5 * odd for _, _, sign in BRANCHES)
 
 
 def _arccos_one_minus(y):
@@ -162,7 +163,7 @@ def _nondegenerate_phases(kappa, rotations) -> tuple[float, float]:
     labels = ("phase", "mirror phase")
     checks = list(zip(labels, phis)) + [
         (f"{label} (block angle)", float(rotations[name]["phase"]))
-        for (name, _), label in zip(BRANCHES, labels) if name in rotations]
+        for (name, _, _), label in zip(BRANCHES, labels) if name in rotations]
     for label, angle in checks:
         if min(angle, math.pi - angle) < DEGENERACY_MARGIN:
             raise DegenerateSpectrumError(
@@ -182,16 +183,10 @@ class BranchModes:
 
     name: str
     phase: float
-    offset: int  # 0: upper block (mirror), 3: lower block (primary)
+    offset: int
     forward: np.ndarray
     axis: np.ndarray
     backward: np.ndarray
-
-
-def _embed(block_matrix: np.ndarray, offset: int) -> np.ndarray:
-    out = np.zeros((6, 6), dtype=complex)
-    out[offset:offset + 3, offset:offset + 3] = block_matrix
-    return out
 
 
 def branch_decomposition(kappa) -> tuple[BranchModes, BranchModes]:
@@ -206,7 +201,7 @@ def branch_decomposition(kappa) -> tuple[BranchModes, BranchModes]:
     return tuple(
         BranchModes(name, phi, offset, *(grids[name][key] for key in (
             "forward", "axis", "backward")))
-        for (name, offset), phi in zip(BRANCHES, phis))
+        for (name, offset, _), phi in zip(BRANCHES, phis))
 
 
 @dataclass(frozen=True)
@@ -233,10 +228,12 @@ class ModeDecomposition:
 
 def mode_decomposition(kappa) -> ModeDecomposition:
     """Group the six exact modes of U(kappa) into forward/zero/backward."""
-    primary, mirror = branch_decomposition(kappa)
-    p_plus = _embed(primary.forward, 3) + _embed(mirror.forward, 0)
-    p_zero = _embed(primary.axis, 3) + _embed(mirror.axis, 0)
-    p_minus = _embed(primary.backward, 3) + _embed(mirror.backward, 0)
+    primary, mirror = branches = branch_decomposition(kappa)
+    projectors = np.zeros((3, 6, 6), dtype=complex)
+    for b in branches:
+        o = slice(b.offset, b.offset + 3)
+        projectors[:, o, o] += (b.forward, b.axis, b.backward)
+    p_plus, p_zero, p_minus = projectors
     lam_p = complex(math.cos(primary.phase), -math.sin(primary.phase))
     lam_m = complex(math.cos(mirror.phase), -math.sin(mirror.phase))
     eigenvalues = np.array([
@@ -256,7 +253,7 @@ def mode_decomposition(kappa) -> ModeDecomposition:
     )
 
 
-def _branch(helicity_index) -> tuple[str, int]:
+def _branch(helicity_index) -> tuple[str, int, float]:
     if helicity_index not in (0, 1):
         raise ArgumentOutOfRangeError("helicity_index must be 0 or 1")
     return BRANCHES[int(helicity_index)]
@@ -270,7 +267,7 @@ def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     vector (eigenvalue exp(-i mirror_phase(kappa)), upper block).  The two
     are orthonormal.  Construction as in `forward_vector_grids`.
     """
-    (name, offset), k = _branch(helicity_index), _components(kappa)
+    (name, offset, _), k = _branch(helicity_index), _components(kappa)
     _nondegenerate_phases(kappa, rotation_grids(*k, (name,)))
     return np.pad(forward_vector_grids(*k, helicity_index)[0], (offset, 3 - offset))
 
@@ -396,8 +393,7 @@ def kernel_grid(kx, ky, kz) -> np.ndarray:
     kx, ky, kz = np.broadcast_arrays(*(np.asarray(a, float) for a in (kx, ky, kz)))
     cx, cy, cz = np.cos(kx), np.cos(ky), np.cos(kz)
     out = np.zeros(kx.shape + (6, 6), dtype=complex)
-    # upper block: mirror branch; lower: primary, the upper one at -kappa
-    for offset, sign in ((0, 1.0), (3, -1.0)):
+    for _, offset, sign in BRANCHES:
         sx, sy, sz = sign * np.sin(kx), sign * np.sin(ky), sign * np.sin(kz)
         out[..., offset:offset + 3, offset:offset + 3] = np.stack([
             np.stack([cy * cz, -cy * sz, sy], axis=-1),
@@ -470,8 +466,7 @@ def rotation_grids(kx, ky, kz, names=("primary", "mirror")):
     half = [0.5 * np.asarray(a, float) for a in (kx, ky, kz)]
     c1, c2, c3 = (np.cos(h) for h in half)
     out = {}
-    # the primary (lower) block is the mirror (upper) block at -kappa
-    for (name, _), sign in zip(BRANCHES, (-1.0, 1.0)):
+    for name, _, sign in BRANCHES:
         if name not in names:
             continue
         s1, s2, s3 = (sign * np.sin(h) for h in half)

@@ -146,6 +146,12 @@ def snap_to_grid(k0, n: int) -> ReducedMomentum:
     return ReducedMomentum.wrap(*snapped)
 
 
+def _helicity(helicity) -> int:
+    if helicity not in (0, 1):
+        raise PacketSpecError(f"helicity must be 0 or 1, got {helicity}")
+    return int(helicity)
+
+
 @dataclass(frozen=True)
 class WavePacketSpec:
     """Parameters of a localized positive-energy wave packet.
@@ -179,8 +185,7 @@ class WavePacketSpec:
         object.__setattr__(self, "x0", tuple(self.x0))
         if self.kind not in ("sinc", "gaussian"):
             raise PacketSpecError(f"unknown packet kind {self.kind!r}")
-        if self.helicity not in (0, 1):
-            raise PacketSpecError(f"helicity must be 0 or 1, got {self.helicity}")
+        object.__setattr__(self, "helicity", _helicity(self.helicity))
         if len(self.k0) != 3 or len(self.x0) != 3:
             raise PacketSpecError("k0 and x0 must have three components")
         if any(int(c) != c for c in self.x0):
@@ -288,22 +293,22 @@ def _occupied_blocks(amp: np.ndarray) -> dict:
 
 
 def _rotation_parts(grids, blocks: dict) -> list:
-    """Per block a of momentum amplitudes over `grids`, keyed by branch in
-    `blocks`: (offset, phi, degenerate, axial, perpendicular, turned) about
-    the rotation axis n: axial = n (n.a) never moves, perpendicular = a -
-    axial (written over a, so pass a copy), turned = n x a."""
-    rotations = rotation_grids(*grids, [name for name, _ in blocks])
+    """Per block a of momentum amplitudes over `grids`, keyed by its BRANCHES
+    entry in `blocks`: (branch, phi, degenerate, axial, perpendicular, turned)
+    about the rotation axis n: axial = n (n.a) never moves, perpendicular =
+    a - axial (written over a, so pass a copy), turned = n x a."""
+    rotations = rotation_grids(*grids, [branch[0] for branch in blocks])
     parts = []
-    for (name, offset), block in blocks.items():
-        axis = rotations[name]["axis"]
+    for branch, block in blocks.items():
+        axis, phi, degenerate = (rotations[branch[0]][key]
+                                 for key in ("axis", "phase", "degenerate"))
         axial = np.sum(axis * block, axis=-1, keepdims=True) * axis
         block -= axial
         turned = np.empty_like(block)
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # np.cross's order
             np.multiply(axis[..., j], block[..., k], out=turned[..., i])
             turned[..., i] -= axis[..., k] * block[..., j]
-        parts.append((offset, rotations[name]["phase"],
-                      rotations[name]["degenerate"], axial, block, turned))
+        parts.append((branch, phi, degenerate, axial, block, turned))
     return parts
 
 
@@ -497,14 +502,12 @@ def project_to_branch(state: LatticeState, helicity: int = 0) -> LatticeState:
     Modes with a degenerate spectrum are dropped (they carry no defined
     forward eigenvector).
     """
-    if helicity not in (0, 1):
-        raise PacketSpecError(f"helicity must be 0 or 1, got {helicity}")
+    offset = BRANCHES[_helicity(helicity)][1]
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
-    offset = BRANCHES[helicity][1]
     amp = np.zeros_like(work.amplitudes)
     amp[..., offset:offset + 3] = work.amplitudes[..., offset:offset + 3]
-    for offset, _, degenerate, _, perpendicular, turned in _rotation_parts(
+    for (_, offset, _), _, degenerate, _, perpendicular, turned in _rotation_parts(
             state.lattice.mode_grids(), _occupied_blocks(amp)):
         # forward projector (a - n (n.a) + i n x a) / 2
         amp[..., offset:offset + 3] = np.where(
@@ -536,11 +539,10 @@ def predicted_state_velocity(state: LatticeState) -> np.ndarray:
 
 def _predicted_velocity(grids, parts) -> np.ndarray:
     total = np.zeros(3)
-    for offset, _, degenerate, _, perpendicular, turned in parts:
-        # the mirror phase at kappa equals the primary phase at -kappa
-        sign = 1.0 if offset == dict(BRANCHES)["primary"] else -1.0
-        v_branch = np.stack(velocity_grid(*(sign * k for k in grids))[:3], -1)
-        v_branch *= sign
+    for (_, _, sign), _, degenerate, _, perpendicular, turned in parts:
+        # a branch's phase at kappa is the primary phase at -sign kappa
+        v_branch = np.stack(velocity_grid(*(-sign * k for k in grids))[:3], -1)
+        v_branch *= -sign
         unusable = degenerate | np.isnan(v_branch).any(axis=-1)
         # forward minus backward weight Re(i a^dagger (n x a)), one axis-0
         # slice at a time; n x a is orthogonal to the axial part

@@ -144,7 +144,7 @@ def _check_kernel(results, rng):
     u, grids = kernel.kernel_grid(*k.T), kernel.branch_projector_grids(*k.T)
     rebuilt = np.zeros_like(u)
     # eigenphases from the arccos forms, as branch_decomposition takes them
-    for (name, o), phi in zip(kernel.BRANCHES, _phases(k)):
+    for (name, o, _), phi in zip(kernel.BRANCHES, _phases(k)):
         lam, g = np.exp(-1j * phi)[:, None, None], grids[name]
         rebuilt[:, o:o + 3, o:o + 3] = (lam * g["forward"] + g["axis"]
                                         + np.conj(lam) * g["backward"])
@@ -154,7 +154,7 @@ def _check_kernel(results, rng):
     k = _safe_momenta(rng, 15)
     u = kernel.kernel_grid(*k.T)
     res = 0.0
-    for (helicity, phi), (_, o) in zip(enumerate(_phases(k)), kernel.BRANCHES):
+    for (helicity, phi), (_, o, _) in zip(enumerate(_phases(k)), kernel.BRANCHES):
         block = kernel.forward_vector_grids(*k.T, helicity)[0]
         vec = np.pad(block, ((0, 0), (o, 3 - o)))  # the block in its place
         moved = (u @ vec[..., None])[..., 0] - np.exp(-1j * phi)[:, None] * vec

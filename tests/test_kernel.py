@@ -585,7 +585,7 @@ def test_property_rotation_grids_match_a_200_bit_oracle(k):
     mpmath = pytest.importorskip("mpmath")
     k = np.array(k)
     rotations = rotation_grids(*k.T)
-    for (name, _), sign in zip(BRANCHES, (-1, 1)):
+    for (name, _, _), sign in zip(BRANCHES, (-1, 1)):
         phi, axis = rotations[name]["phase"], rotations[name]["axis"]
         for i, point in enumerate(k):
             exact_phi, exact_axis, q0 = _exact_rotation(point, sign, mpmath)
@@ -607,6 +607,22 @@ def test_property_rotation_grids_rebuild_the_kernel_blocks(k):
         cross = np.swapaxes(np.cross(n[:, None, :], np.eye(3)), -1, -2)
         rebuilt = (np.eye(3) + np.sin(phi) * cross
                    + (1.0 - np.cos(phi)) * (cross @ cross))
-        offset = dict(BRANCHES)[name]
+        offset = {b: o for b, o, _ in BRANCHES}[name]
         block = u[:, offset:offset + 3, offset:offset + 3]
         assert np.max(np.abs(rebuilt - block)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=momentum_batches)
+def test_property_each_branch_is_the_upper_block_at_its_signed_momentum(k):
+    # BRANCHES states it once: a branch's block at kappa is the upper block
+    # at sign * kappa, in the kernel and in its rotation form
+    for name, offset, sign in BRANCHES:
+        block = kernel_grid(*k.T)[:, offset:offset + 3, offset:offset + 3]
+        upper = kernel_grid(*(sign * k).T)[:, :3, :3]
+        assert np.max(np.abs(block - upper)) <= 1e-15
+        rotation = rotation_grids(*k.T)[name]
+        mirror = rotation_grids(*(sign * k).T)["mirror"]
+        for key in ("axis", "phase"):
+            assert np.max(np.abs(rotation[key] - mirror[key])) <= 1e-15
+        np.testing.assert_array_equal(rotation["degenerate"], mirror["degenerate"])

@@ -660,7 +660,7 @@ def test_packet_split_holds_only_the_packet_block(kind, width, helicity,
     assert not np.delete(amp, np.s_[offset:offset + 3], axis=-1).any()
     _packet_parts.cache_clear()
     _, parts = _packet_parts(lat, spec)
-    assert [part[0] for part in parts] == [offset]
+    assert [part[0][1] for part in parts] == [offset]
 
 
 @pytest.mark.parametrize("empty", [0, 3])
@@ -739,7 +739,7 @@ def full_lattice_prediction(state):
     grids = state.lattice.mode_grids()
     projectors = branch_projector_grids(*grids)
     total = np.zeros(3)
-    for (name, offset), sign in zip(BRANCHES, (1.0, -1.0)):
+    for (name, offset, _), sign in zip(BRANCHES, (1.0, -1.0)):
         a = state.amplitudes[..., offset:offset + 3]
         g = projectors[name]
         w = np.einsum("...i,...ij,...j->...", a.conj(),
