@@ -168,10 +168,9 @@ def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
             f"record {record.id!r} constrains quadratic-order dispersion; "
             "the model's leading speed correction is linear, so this record "
             "does not translate into a spacing bound")
-    try:
-        dx = constants.hbar_c / (rms_factor * record.e_qg_lower_bound)
-    except ZeroDivisionError:  # a subnormal E_QG times rms_factor rounds to 0
-        raise OverflowError(f"record {record.id!r}: bound is not finite") from None
+    denominator = rms_factor * record.e_qg_lower_bound
+    # a subnormal E_QG times rms_factor rounds to 0; BoundResult refuses inf
+    dx = constants.hbar_c / denominator if denominator else math.inf
     return BoundResult(
         experiment_id=record.id,
         delta_x_upper_bound=dx,

@@ -477,6 +477,14 @@ def rotation_grids(kx, ky, kz, names=("primary", "mirror")):
         v_norm = np.sqrt(np.sum(v * v, axis=-1))
         # 1 - cos(phi) = 2 |v|^2 and 1 + cos(phi) = 2 q0^2: neither cancels
         phi = 2.0 * np.arctan2(v_norm, np.abs(q0))
+        small = v_norm < 1e-150
+        if small.any():  # v * v underflows: there v is divided by its largest |v_i|
+            phi, v_norm, q0 = (np.asarray(a) for a in (phi, v_norm, q0))
+            big = np.max(np.abs(v[small]), axis=-1)
+            big[big == 0.0] = 1.0
+            v[small] /= big[:, None]
+            v_norm[small] = np.sqrt(np.sum(v[small] * v[small], axis=-1))
+            phi[small] = 2.0 * np.arctan2(big * v_norm[small], np.abs(q0[small]))
         # q and -q are the same rotation; taking q0 >= 0 keeps phi <= pi
         scale = np.where(q0 < 0.0, -1.0, 1.0) / np.where(v_norm == 0.0, 1.0, v_norm)
         out[name] = {

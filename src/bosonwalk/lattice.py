@@ -188,6 +188,8 @@ class WavePacketSpec:
         object.__setattr__(self, "helicity", _helicity(self.helicity))
         if len(self.k0) != 3 or len(self.x0) != 3:
             raise PacketSpecError("k0 and x0 must have three components")
+        if not all(map(math.isfinite, self.k0)):
+            raise PacketSpecError(f"k0 {list(self.k0)} must be finite")
         if any(int(c) != c for c in self.x0):
             raise PacketSpecError("x0 components must be integers")
         if self.width <= 0:

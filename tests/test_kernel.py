@@ -551,10 +551,10 @@ def _near_pi(k1, k2, sign, offset):
     return (k1, k2, min(max(2.0 * half + offset, -math.pi), math.pi))
 
 
-# float64 squares of components below 1e-150 fall out of the normal range,
-# and rotation_grids then returns phi = 0 for |kappa| < 1e-154; the zone
-# below keeps such components at exactly zero
-zone = st.floats(-math.pi, math.pi).map(lambda c: c if abs(c) >= 1e-150 else 0.0)
+# rotation_grids rescales |v| where its float64 square would underflow, so
+# the zone reaches 1e-300; below that a subnormal's half-angle rounds (to 0
+# at the smallest), and the zone draws such components as exactly zero
+zone = st.floats(-math.pi, math.pi).map(lambda c: c if abs(c) >= 1e-300 else 0.0)
 oracle_momenta = st.lists(st.one_of(
     st.tuples(zone, zone, zone),
     st.builds(_near_pi, zone, zone, st.sampled_from([-1.0, 1.0]),
@@ -578,6 +578,10 @@ def _exact_rotation(k, sign, mpmath):
 
 @settings(max_examples=40, deadline=None)
 @given(k=oracle_momenta)
+# |v|^2 underflowed to 0 here, so the angle was 0 and the axis zero
+@example(k=[(0.0, 0.0, 4.5e-175)])
+@example(k=[(3e-200, -1e-180, 1e-190), (0.3, 1e-160, -0.2)])
+@example(k=[(1e-300, 0.0, 0.0), (2e-300, -1e-300, 5e-301)])
 def test_property_rotation_grids_match_a_200_bit_oracle(k):
     # the quaternion angle and axis to a few ulp over the zone and near
     # phi = pi; there n and -n are the same rotation, so the axis may flip

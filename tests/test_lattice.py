@@ -663,6 +663,25 @@ def test_packet_split_holds_only_the_packet_block(kind, width, helicity,
     assert [part[0][1] for part in parts] == [offset]
 
 
+@pytest.mark.parametrize("helicity", [1.0, True, np.int64(1)])
+def test_an_integral_helicity_acts_as_the_int(helicity):
+    # 1.0 passed the spec's check and then raised TypeError at BRANCHES[1.0]
+    lat = Lattice(16)
+    spec, reference = (WavePacketSpec("sinc", (0.4, 0.3, -0.2), (8, 8, 8), 2,
+                                      helicity=h) for h in (helicity, 1))
+    assert type(spec.helicity) is int and spec == reference
+    runs = []
+    for s in (spec, reference):
+        _packet_parts.cache_clear()  # equal specs would share a cached split
+        packet = make_wavepacket(lat, s)
+        trajectory = measure_group_velocity(lat, s, 4).trajectory
+        runs.append((packet.amplitudes, trajectory.positions, trajectory.spreads,
+                     project_to_branch(packet, s.helicity).amplitudes,
+                     project_to_branch(packet, helicity).amplitudes))
+    for got, expected in zip(*runs):
+        np.testing.assert_array_equal(got, expected)
+
+
 @pytest.mark.parametrize("empty", [0, 3])
 def test_spectral_evolution_keeps_an_empty_block_exactly_zero(empty):
     lat = Lattice(8)

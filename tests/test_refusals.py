@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from bosonwalk import cli, kernel, lattice
-from bosonwalk.bounds import ExperimentRecord, PhysicalConstants, anisotropy_bound
+from bosonwalk.bounds import (
+    ExperimentRecord,
+    PhysicalConstants,
+    anisotropy_bound,
+    dispersion_bound,
+)
 from bosonwalk.errors import (
     ArgumentOutOfRangeError,
     CatalogValidationError,
@@ -52,6 +57,11 @@ REFUSALS = {
     "record wavelength": (
         lambda tmp: _resonator(wavelength=-1e-6),
         CatalogValidationError, "record 'r': wavelength must be positive"),
+    "dispersion bound whose denominator rounds to zero": (
+        lambda tmp: dispersion_bound(_record(
+            "dispersion", e_qg_lower_bound=5e-324, liv_order=1, sign=1),
+            PhysicalConstants()),
+        OverflowError, "record 'r': bound is not finite"),
     "anisotropy bound of a dispersion record": (
         lambda tmp: anisotropy_bound(_grb(sign=1), PhysicalConstants()),
         ArgumentOutOfRangeError, "record 'r' is not an anisotropy record"),
@@ -72,6 +82,11 @@ REFUSALS = {
     "packet k0 of two components": (
         lambda tmp: lattice.WavePacketSpec("sinc", (0.1, 0.2), (0, 0, 0), 2),
         PacketSpecError, "k0 and x0 must have three components"),
+    **{f"packet k0 of {value}": (
+        lambda tmp, value=value: lattice.WavePacketSpec(
+            "gaussian", (value, 0.0, 0.0), (0, 0, 0), np.pi / 8),
+        PacketSpecError, f"k0 [{value}, 0.0, 0.0] must be finite")
+       for value in (float("nan"), float("inf"), -float("inf"))},
     "packet x0 of two components": (
         lambda tmp: lattice.WavePacketSpec("sinc", (0.1, 0.2, 0.3), (0, 0), 2),
         PacketSpecError, "k0 and x0 must have three components"),
