@@ -85,7 +85,8 @@ def _run(src: Path, argv: tuple[str, ...], work: Path) -> tuple:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC",
+              file=sys.stderr)
         return 2
     srcs = [Path(a).resolve() for a in argv]
     for src in srcs:
