@@ -283,7 +283,6 @@ def cmd_propagate(args) -> int:
         import json
         k0 = lattice.snap_to_grid(spec.k0, lat.n)
         analytic = kernel.group_velocity_analytic(k0.as_array())
-        predicted = lattice.predicted_packet_velocity(lat, spec)
         summary = {
             "n": lat.n,
             "steps": steps,
@@ -293,7 +292,7 @@ def cmd_propagate(args) -> int:
             "k0_snapped": [k0.kx, k0.ky, k0.kz],
             "measured_velocity": list(measured.velocity.as_array()),
             "analytic_velocity": list(analytic.as_array()),
-            "predicted_packet_velocity": [float(v) for v in predicted],
+            "predicted_packet_velocity": [float(v) for v in measured.predicted],
             "fit_residual": measured.fit_residual,
             "norm_drift": float(np.max(np.abs(
                 measured.trajectory.norms - 1.0))),

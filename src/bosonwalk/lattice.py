@@ -180,7 +180,7 @@ class WavePacketSpec:
     per_mode_internal: bool = False
 
     def __post_init__(self):
-        # tuples keep the spec hashable, so a packet split can be shared
+        # tuples keep the spec hashable
         object.__setattr__(self, "k0", tuple(self.k0))
         object.__setattr__(self, "x0", tuple(self.x0))
         if self.kind not in ("sinc", "gaussian"):
@@ -314,16 +314,12 @@ def _rotation_parts(grids, blocks: dict) -> list:
     return parts
 
 
-@functools.lru_cache(maxsize=1)
 def _packet_parts(lattice: Lattice, spec: WavePacketSpec) -> tuple:
-    """Read-only mode grids of a packet's support window and _rotation_parts
-    of its amplitudes there (one part: a packet occupies one block)."""
+    """Mode grids of a packet's support window and _rotation_parts of its
+    amplitudes there (one part: a packet occupies one block)."""
     window, block = _packet_window(lattice, spec)
     grids = lattice.mode_grids(window)
-    parts = _rotation_parts(grids, {BRANCHES[spec.helicity]: block})
-    for array in grids + tuple(a for part in parts for a in part[1:]):
-        array.flags.writeable = False
-    return grids, tuple(parts)
+    return grids, _rotation_parts(grids, {BRANCHES[spec.helicity]: block})
 
 
 def _rotated_block(part, cos_t: np.ndarray, sin_t: np.ndarray, out) -> None:
@@ -435,6 +431,7 @@ class MeasuredVelocity:
     velocity: GroupVelocity
     fit_residual: float
     trajectory: CentroidTrajectory
+    predicted: np.ndarray  # predicted_packet_velocity of the same packet
 
 
 def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
@@ -448,7 +445,8 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     unwrapped against the previous sample (valid because the per-sample
     displacement is below n/2 sites), and a least-squares line per axis
     gives the velocity.  fit_residual is the RMS of the fit residuals over
-    all samples and axes, in sites.
+    all samples and axes, in sites; `predicted` is the mode-weighted
+    velocity, read from the same packet split.
     """
     if sample_every < 1 or int(sample_every) != sample_every:
         raise InvalidArgumentError(
@@ -462,7 +460,8 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     budget._refuse_over_budget(samples * budget._BYTES_PER_SAMPLE,
                                f"{samples} trajectory samples")
 
-    _, (part,) = _packet_parts(lattice, spec)
+    grids, parts = _packet_parts(lattice, spec)
+    (part,) = parts
     # exp(i t phi) at the current sample t and its step per sample
     phasor = np.ones_like(part[1], dtype=complex)
     advance = np.exp(1j * sample_every * part[1])
@@ -479,6 +478,7 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
             raise UndefinedCentroidError(
                 "packet spread out too far for a defined centroid")
         samples.append((c, s, math.sqrt(weight)))
+    del block, phasor, advance  # the prediction's peak stays under the loop's
     positions, spreads, norms = (np.array(v) for v in zip(*samples))
 
     n = lattice.n
@@ -493,7 +493,8 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     trajectory = CentroidTrajectory(
         steps=np.asarray(sample_steps), positions=unwrapped,
         spreads=spreads, norms=norms)
-    return MeasuredVelocity(GroupVelocity(*slopes), fit_residual, trajectory)
+    return MeasuredVelocity(GroupVelocity(*slopes), fit_residual, trajectory,
+                            _predicted_velocity(grids, parts))
 
 
 def project_to_branch(state: LatticeState, helicity: int = 0) -> LatticeState:

@@ -1,5 +1,6 @@
 """Lattice states, wave packets, evolution routes, centroid tracking."""
 
+import json
 import math
 import os
 import tracemalloc
@@ -46,7 +47,7 @@ from bosonwalk.lattice import (
     to_momentum,
     to_position,
 )
-from bosonwalk import budget
+from bosonwalk import budget, cli
 from bosonwalk import lattice as lattice_module
 from bosonwalk.budget import (
     _BYTES_PER_SAMPLE,
@@ -552,9 +553,9 @@ def test_mirror_branch_packet_moves_like_primary_on_axis():
     np.testing.assert_allclose(v0, v1, atol=1e-10)
 
 
-# ------------------------------------------------------ shared packet split
+# ------------------------------------------------------ one packet split
 
-def test_measurement_and_prediction_share_one_packet_split(monkeypatch):
+def test_json_propagate_builds_one_packet_split(monkeypatch, tmp_path, capsys):
     calls = {"_packet_window": 0, "rotation_grids": 0}
     for name in calls:
         original = getattr(lattice_module, name)
@@ -564,26 +565,28 @@ def test_measurement_and_prediction_share_one_packet_split(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(lattice_module, name, counted)
-    _packet_parts.cache_clear()
-    lat = Lattice(16)
-    spec = WavePacketSpec("sinc", (0.4, 0.3, 0.0), (8, 8, 8), 2)
-    measure_group_velocity(lat, spec, steps=4)
-    predicted_packet_velocity(lat, spec)
+    packet = tmp_path / "packet.json"
+    packet.write_text(json.dumps({
+        "kind": "sinc", "n": 16, "k0": [0.4, 0.3, 0.0], "x0": [8, 8, 8],
+        "width": 2, "helicity": 0, "steps": 4, "sample_every": 1}))
+    assert cli.main(["propagate", "--packet", str(packet), "--format", "json"]) == 0
     assert calls == {"_packet_window": 1, "rotation_grids": 1}
+    summary = json.loads(capsys.readouterr().out)
+    spec = WavePacketSpec("sinc", (0.4, 0.3, 0.0), (8, 8, 8), 2)
+    assert summary["predicted_packet_velocity"] == list(
+        predicted_packet_velocity(Lattice(16), spec))
 
 
-def test_shared_packet_split_is_read_only():
-    # the perpendicular part is the packet's own block, split where it was built
-    gaussian = WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (4, 4, 4), np.pi / 8)
-    for n, spec in ((16, WavePacketSpec("sinc", (0.4, 0.3, -0.2), (4, 4, 4), 2)),
-                    (32, replace(gaussian, helicity=1)),
-                    (32, replace(gaussian, per_mode_internal=True))):
-        _packet_parts.cache_clear()
-        grids, parts = _packet_parts(Lattice(n), spec)
-        for array in grids + tuple(a for part in parts for a in part[1:]):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[...] = 0
+@pytest.mark.parametrize("n, spec", [
+    (64, WavePacketSpec("gaussian", (0.4 / np.sqrt(3.0),) * 3, (21, 50, 3),
+                        np.pi / 16)),
+    (32, WavePacketSpec("gaussian", (0.3, -0.2, 0.5), (5, 9, 20), np.pi / 8,
+                        helicity=1)),
+])
+def test_measurement_carries_the_packet_prediction(n, spec):
+    lat = Lattice(n)
+    measured = measure_group_velocity(lat, spec, 4).predicted
+    assert measured.tobytes() == predicted_packet_velocity(lat, spec).tobytes()
 
 
 def sparse_state(lat, basis):
@@ -618,7 +621,6 @@ def test_list_valued_spec_is_hashable_and_matches_tuples():
     assert listed.k0 == (0.4, 0.3, 0.0) and listed.x0 == (8, 8, 8)
     assert hash(listed) == hash(tupled)
     a = measure_group_velocity(lat, listed, steps=4)
-    _packet_parts.cache_clear()
     b = measure_group_velocity(lat, tupled, steps=4)
     np.testing.assert_array_equal(a.trajectory.positions,
                                   b.trajectory.positions)
@@ -634,7 +636,6 @@ def test_interleaved_specs_predict_as_fresh_packets():
     predicted = [predicted_state_velocity(make_wavepacket(lat, s)) for s in specs]
     measured = []
     for spec in specs:
-        _packet_parts.cache_clear()
         measured.append(measure_group_velocity(lat, spec, steps=2).velocity)
     for i in (0, 1, 1, 0, 1, 0):
         got = measure_group_velocity(lat, specs[i], steps=2).velocity
@@ -658,7 +659,6 @@ def test_packet_split_holds_only_the_packet_block(kind, width, helicity,
     assert block.shape == tuple(map(len, window)) + (3,)
     amp = make_wavepacket(lat, spec).amplitudes
     assert not np.delete(amp, np.s_[offset:offset + 3], axis=-1).any()
-    _packet_parts.cache_clear()
     _, parts = _packet_parts(lat, spec)
     assert [part[0][1] for part in parts] == [offset]
 
@@ -672,7 +672,6 @@ def test_an_integral_helicity_acts_as_the_int(helicity):
     assert type(spec.helicity) is int and spec == reference
     runs = []
     for s in (spec, reference):
-        _packet_parts.cache_clear()  # equal specs would share a cached split
         packet = make_wavepacket(lat, s)
         trajectory = measure_group_velocity(lat, s, 4).trajectory
         runs.append((packet.amplitudes, trajectory.positions, trajectory.spreads,
@@ -712,14 +711,13 @@ def test_gaussian_packet_split_holds_one_block():
     n = 32
     lat = Lattice(n)
     spec = WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (8, 8, 8), np.pi / 8)
-    _packet_parts.cache_clear()
     tracemalloc.start()
     try:
-        _packet_parts(lat, spec)
+        split = _packet_parts(lat, spec)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-        _packet_parts.cache_clear()
+    del split
     assert held <= 3 * n**3 * 3 * 16 + n**3 * (8 + 1) + (64 << 10)
 
 
@@ -800,7 +798,6 @@ def test_property_windowed_packet_matches_full_lattice(case):
         packet = make_wavepacket(lat, spec)
     except (DegenerateSpectrumError, PacketSpecError):
         assume(False)  # k0 or every mode of the cube has no forward mode
-    _packet_parts.cache_clear()
     mv = measure_group_velocity(lat, spec, sample_every * intervals,
                                 sample_every)
     positions, spreads, norms = full_lattice_trajectory(
@@ -811,9 +808,8 @@ def test_property_windowed_packet_matches_full_lattice(case):
     np.testing.assert_allclose(resultants(mv.trajectory.spreads, n),
                                resultants(spreads, n), rtol=0, atol=1e-12)
     np.testing.assert_allclose(mv.trajectory.norms, norms, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        predicted_packet_velocity(lat, spec),
-        full_lattice_prediction(packet), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mv.predicted, full_lattice_prediction(packet),
+                               rtol=0, atol=1e-12)
     # the cube of width + 1 modes per axis and one halo mode
     assert _packet_window(lat, spec)[1].shape == (spec.width + 2,) * 3 + (3,)
 
@@ -837,18 +833,16 @@ def test_sparse_packet_memory_does_not_grow_with_the_lattice():
     cap = 4 << 30 if limits[1] == resource.RLIM_INFINITY else min(4 << 30, limits[1])
     lat = Lattice(1024)
     spec = WavePacketSpec("sinc", (0.4, 0.0, 0.0), (512, 512, 512), 2)
-    _packet_parts.cache_clear()
     resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
     tracemalloc.start()
     try:
         mv = measure_group_velocity(lat, spec, steps=60, sample_every=20)
-        pred = predicted_packet_velocity(lat, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         resource.setrlimit(resource.RLIMIT_AS, limits)
     assert peak < 1 << 20
-    assert np.max(np.abs(mv.velocity.as_array() - pred)) <= 0.02
+    assert np.max(np.abs(mv.velocity.as_array() - mv.predicted)) <= 0.02
 
 
 def test_prediction_excludes_modes_at_exactly_pi():
@@ -911,7 +905,6 @@ def test_property_cut_gaussian_matches_the_uncut_packet(spec):
     lat = Lattice(64)
     try:
         uncut = uncut_gaussian(lat, spec)
-        _packet_parts.cache_clear()
         mv = measure_group_velocity(lat, spec, 6, 3)
     except (DegenerateSpectrumError, PacketSpecError):
         assume(False)  # k0 has no forward mode, or no mode has one
@@ -922,8 +915,8 @@ def test_property_cut_gaussian_matches_the_uncut_packet(spec):
     np.testing.assert_allclose(resultants(mv.trajectory.spreads, 64),
                                resultants(spreads, 64), rtol=0, atol=1e-12)
     np.testing.assert_allclose(mv.trajectory.norms, norms, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(predicted_packet_velocity(lat, spec),
-                               full_lattice_prediction(uncut), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mv.predicted, full_lattice_prediction(uncut),
+                               rtol=0, atol=1e-12)
 
 
 def test_benchmark_gaussian_window_and_dropped_probability():
@@ -981,15 +974,12 @@ def test_memory_estimate_covers_the_measured_peak(n, spec, samples):
     window, _ = _packet_window(lat, spec)
     estimate = (np.prod([len(w) for w in window]) * _BYTES_PER_WINDOW_MODE
                 + samples * _BYTES_PER_SAMPLE)
-    _packet_parts.cache_clear()
     tracemalloc.start()
     try:
         measure_group_velocity(lat, spec, samples - 1, 1)
-        predicted_packet_velocity(lat, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _packet_parts.cache_clear()
     assert peak <= estimate
 
 
@@ -1000,15 +990,12 @@ def test_benchmark_packet_peaks_under_256_bytes_per_window_mode():
     window, _ = _packet_window(lat, BENCHMARK_PACKET)
     modes = np.prod([len(w) for w in window])
     for spec in (BENCHMARK_PACKET, replace(BENCHMARK_PACKET, per_mode_internal=True)):
-        _packet_parts.cache_clear()
         tracemalloc.start()
         try:
             measure_group_velocity(lat, spec, 16, 1)
-            predicted_packet_velocity(lat, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            _packet_parts.cache_clear()
         assert peak <= 256 * modes + 17 * _BYTES_PER_SAMPLE, spec
 
 
@@ -1016,7 +1003,6 @@ def test_over_budget_packet_is_refused_before_allocating(monkeypatch):
     # the sigma = pi/16 packet at n = 512 spans about 390 modes per axis
     monkeypatch.setattr(budget, "_memory_budget", lambda: 1 << 30)
     spec = WavePacketSpec("gaussian", (0.4, 0.0, 0.0), (0, 0, 0), np.pi / 16)
-    _packet_parts.cache_clear()
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetError,
@@ -1033,7 +1019,6 @@ def test_over_budget_sample_count_is_refused_before_the_packet(monkeypatch):
     monkeypatch.setattr(budget, "_memory_budget", lambda: 1 << 30)
     monkeypatch.setattr(lattice_module, "_packet_window", None)  # never reached
     spec = WavePacketSpec("sinc", (0.4, 0.0, 0.0), (0, 0, 0), 2)
-    _packet_parts.cache_clear()
     with pytest.raises(MemoryBudgetError,
                        match="^50000000001 trajectory samples would need"):
         measure_group_velocity(Lattice(64), spec, 10**12, 20)
