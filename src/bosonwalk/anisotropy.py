@@ -16,6 +16,7 @@ bound factors ("0.346").  Both are reported everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,9 @@ class Direction:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
+        if not (isinstance(self.theta, numbers.Real) and 0.0 <= self.theta <= math.pi):
             raise ArgumentOutOfRangeError(f"theta {self.theta} outside [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
+        if not (isinstance(self.phi, numbers.Real) and 0.0 <= self.phi < 2.0 * math.pi):
             raise ArgumentOutOfRangeError(f"phi {self.phi} outside [0, 2 pi)")
 
     def unit_vector(self) -> np.ndarray:
@@ -70,7 +71,8 @@ def deviation_for_direction(kappa_magnitude: float, direction: Direction) -> flo
     at most 0.0563 kappa^2 there, the largest over 20,000 random directions
     at |kappa| = 0.1, 0.03, 0.01 and 0.003.
     """
-    if kappa_magnitude < 0.0 or kappa_magnitude > 0.1:
+    if not (isinstance(kappa_magnitude, numbers.Real)
+            and 0.0 <= kappa_magnitude <= 0.1):
         raise SeriesOutOfRangeError(
             f"kappa magnitude {kappa_magnitude} outside the series window [0, 0.1]")
     return -kappa_magnitude * s_factor(direction)
@@ -91,6 +93,10 @@ class SphereStats:
     quadrature_error_estimate: float
     n_theta: int
     n_phi: int
+
+
+def _counts_at_least(least: int, *counts) -> bool:
+    return all(isinstance(n, numbers.Integral) and n >= least for n in counts)
 
 
 def _sphere_moments(n_theta: int, n_phi: int) -> tuple[float, float]:
@@ -117,7 +123,7 @@ def sphere_stats(n_theta: int = 64, n_phi: int = 64) -> SphereStats:
     unit-average RMS when both resolutions are doubled; for this integrand
     it sits at rounding level already for modest n.
     """
-    if n_theta < 16 or n_phi < 16:
+    if not _counts_at_least(16, n_theta, n_phi):
         raise ArgumentOutOfRangeError(
             f"need n_theta, n_phi >= 16, got {n_theta}, {n_phi}")
     mean, mean_sq = _sphere_moments(n_theta, n_phi)
@@ -143,7 +149,7 @@ def sphere_stats(n_theta: int = 64, n_phi: int = 64) -> SphereStats:
 
 def anisotropy_map(n_theta: int, n_phi: int):
     """Grid of (theta, phi, s) rows for export, theta-major order."""
-    if n_theta < 1 or n_phi < 1:
+    if not _counts_at_least(1, n_theta, n_phi):
         raise ArgumentOutOfRangeError(
             f"need n_theta, n_phi >= 1, got {n_theta}, {n_phi}")
     theta = np.linspace(0.0, math.pi, n_theta)

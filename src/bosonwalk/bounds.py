@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
@@ -41,6 +42,10 @@ NORMALIZATIONS = {
 }
 
 
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Constants used in bound conversions; echoed with every result."""
@@ -51,8 +56,8 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in CONSTANTS:
-            if getattr(self, name) <= 0:
-                raise ArgumentOutOfRangeError(f"{name} must be positive")
+            if not _finite(getattr(self, name)) or getattr(self, name) <= 0:
+                raise ArgumentOutOfRangeError(f"{name} must be finite and positive")
 
     @classmethod
     def rounded(cls) -> "PhysicalConstants":
@@ -82,7 +87,7 @@ class ExperimentRecord:
     def validate(self) -> None:
         # NaN passes every ordered comparison below, so test it first
         for name in ("e_qg_lower_bound", "delta_c_over_c", "wavelength"):
-            if not math.isfinite(getattr(self, name) or 0.0):
+            if not _finite(getattr(self, name) or 0.0):
                 raise CatalogValidationError(
                     f"record {self.id!r}: {name} must be finite")
         if self.kind not in (DISPERSION, ANISOTROPY):
@@ -227,8 +232,13 @@ def time_lag(distance: float, e_high: float, e_low: float, e_qg: float,
 
     dt = s (d / c) ((n + 1) / 2) (e_high^n - e_low^n) / e_qg^n; positive
     means the higher-energy photon arrives later (subluminal, s = +1).
-    Flat space, no cosmological redshift weighting.
+    Flat space, no cosmological redshift weighting.  Non-finite arguments,
+    and arguments whose arithmetic leaves the float range, are refused.
     """
+    for name, value in (("distance", distance), ("e_high", e_high),
+                        ("e_low", e_low), ("e_qg", e_qg)):
+        if not _finite(value):
+            raise ArgumentOutOfRangeError(f"{name} must be finite, got {value!r}")
     if distance <= 0:
         raise ArgumentOutOfRangeError("distance must be positive")
     if not e_high >= e_low >= 0:
@@ -240,7 +250,13 @@ def time_lag(distance: float, e_high: float, e_low: float, e_qg: float,
     if s not in (1, -1):
         raise ArgumentOutOfRangeError(f"sign s must be +1 or -1, got {s}")
     c = PhysicalConstants().speed_of_light
-    return s * (distance / c) * ((n + 1) / 2.0) * (e_high**n - e_low**n) / e_qg**n
+    try:
+        lag = s * (distance / c) * ((n + 1) / 2.0) * (e_high**n - e_low**n) / e_qg**n
+    except (OverflowError, ZeroDivisionError):  # a power past the float range
+        lag = 0.0 if e_high == e_low else math.inf
+    if not math.isfinite(lag):
+        raise ArgumentOutOfRangeError("the time lag leaves the float range")
+    return lag
 
 
 _RECORD_FIELDS = {

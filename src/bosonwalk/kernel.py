@@ -20,11 +20,16 @@ helicity branches split by O(|kappa|^3).  They coincide exactly whenever
 some momentum component is 0 or pi.  All closed-form velocity and
 deviation formulas below describe the phase(kappa) branch; the mirror
 branch obeys the same formulas with kappa -> -kappa.
+
+The scalar functions refuse a momentum that is not three finite numbers
+(InvalidArgumentError).  The grid forms take their arrays as given and
+propagate NaN elementwise, as numpy arithmetic does; they scan nothing.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +61,16 @@ class ReducedMomentum:
     ky: float
     kz: float
 
+    def __post_init__(self):
+        if not all(isinstance(v, numbers.Real) and -math.pi < v <= math.pi
+                   for v in (self.kx, self.ky, self.kz)):
+            raise InvalidArgumentError(
+                f"momentum ({self.kx}, {self.ky}, {self.kz}) outside (-pi, pi]^3")
+
     @classmethod
     def wrap(cls, kx: float, ky: float, kz: float) -> "ReducedMomentum":
-        """Wrap arbitrary momentum components into (-pi, pi]."""
-        return cls(*(_wrap_component(v) for v in (kx, ky, kz)))
+        """Wrap arbitrary finite momentum components into (-pi, pi]."""
+        return cls(*(_wrap_component(v) for v in _components((kx, ky, kz))))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.kx, self.ky, self.kz], dtype=float)
@@ -74,13 +85,17 @@ def _wrap_component(v: float) -> float:
 
 
 def _components(kappa) -> np.ndarray:
+    """The scalar API's one gate: kappa as three finite floats."""
     if isinstance(kappa, ReducedMomentum):
         return kappa.as_array()
-    arr = np.asarray(kappa, dtype=float)
+    arr = np.asarray(kappa)
     if arr.shape != (3,):
         raise InvalidArgumentError(
             f"expected 3 momentum components, got shape {arr.shape}")
-    return arr
+    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        raise InvalidArgumentError(
+            f"momentum components must be finite numbers, got {arr.tolist()}")
+    return arr.astype(float)
 
 
 def kernel_closed_form(kappa) -> np.ndarray:
@@ -128,11 +143,13 @@ def _arccos_one_minus(y):
 def _scalar_phase(kappa, grid) -> float:
     """One branch angle at one point, by its grid form.
 
-    With at most one nonzero component both angles are exactly |kappa|,
-    so the axis case skips the trigonometric round trip.
+    With at most one nonzero component, of modulus at most pi, both angles
+    are exactly |kappa|, so the axis case skips the trigonometric round
+    trip; further out on an axis the grid form wraps it.
     """
     kx, ky, kz = _components(kappa)
-    if sum(1 for c in (kx, ky, kz) if c == 0.0) >= 2:
+    if (sum(1 for c in (kx, ky, kz) if c == 0.0) >= 2
+            and abs(kx + ky + kz) <= math.pi):
         return float(abs(kx + ky + kz))
     return float(grid(kx, ky, kz))
 
@@ -312,7 +329,7 @@ def group_velocity_analytic(kappa) -> GroupVelocity:
 
 def group_velocity_numeric(kappa, step: float = 1e-6) -> GroupVelocity:
     """Central-difference gradient of phase(kappa), for cross-checking."""
-    if not 1e-8 <= step <= 1e-2:
+    if not (isinstance(step, numbers.Real) and 1e-8 <= step <= 1e-2):
         raise ArgumentOutOfRangeError(f"step {step!r} outside [1e-8, 1e-2]")
     k = _components(kappa)
     comps = []
@@ -328,9 +345,11 @@ def speed_deviation_series(kappa) -> float:
 
     |v_g| = 1 - kx ky kz / |kappa|^2 + O(|kappa|^2); returns the correction
     term.  Zero for momenta in a coordinate plane; extremal along the main
-    diagonals at -|kappa|/(3 sqrt(3)).
+    diagonals at -|kappa|/(3 sqrt(3)).  Taken in the reduced zone only.
     """
     k = _components(kappa)
+    if np.abs(k).max() > math.pi:
+        raise SeriesOutOfRangeError(f"kappa {k.tolist()} outside the reduced zone")
     norm_sq = float(k @ k)
     if norm_sq == 0.0:
         raise ZeroMomentumError("speed deviation series undefined at kappa = 0")
@@ -345,7 +364,8 @@ def phase_expansion_check(kappa) -> float:
     residual roughly eightfold.  Valid for 0 < |kappa| <= 0.1.
     """
     k = _components(kappa)
-    norm = float(np.linalg.norm(k))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, out of range
+        norm = float(np.linalg.norm(k))
     if norm == 0.0:
         raise ZeroMomentumError("expansion undefined at kappa = 0")
     if norm > 0.1:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .kernel import (
     BRANCHES,
     GroupVelocity,
     ReducedMomentum,
+    _components,
     forward_vector_grids,
     positive_energy_vector,
     rotation_grids,
@@ -66,7 +68,7 @@ class Lattice:
     n: int
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
+        if not isinstance(self.n, numbers.Integral) or self.n < 4 or self.n % 2:
             raise InvalidArgumentError(
                 f"lattice size must be even and >= 4, got {self.n}")
 
@@ -136,7 +138,7 @@ def to_position(state: LatticeState) -> LatticeState:
 
 def snap_to_grid(k0, n: int) -> ReducedMomentum:
     """Round momentum components to the nearest lattice mode of size n."""
-    k = np.asarray(k0, dtype=float)
+    k = _components(k0)
     with np.errstate(over="ignore"):
         snapped = 2.0 * np.pi * np.rint(k * n / (2.0 * np.pi)) / n
     # where k n overflows, the exact image of k in (-2 pi, 2 pi) is snapped
@@ -144,6 +146,10 @@ def snap_to_grid(k0, n: int) -> ReducedMomentum:
     snapped[huge] = 2.0 * np.pi * np.rint(np.fmod(k[huge], 2.0 * np.pi) * n
                                           / (2.0 * np.pi)) / n
     return ReducedMomentum.wrap(*snapped)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _helicity(helicity) -> int:
@@ -180,18 +186,23 @@ class WavePacketSpec:
     per_mode_internal: bool = False
 
     def __post_init__(self):
-        # tuples keep the spec hashable
-        object.__setattr__(self, "k0", tuple(self.k0))
-        object.__setattr__(self, "x0", tuple(self.x0))
+        for field in ("k0", "x0"):  # tuples keep the spec hashable
+            value = getattr(self, field)
+            object.__setattr__(self, field,
+                               tuple(value) if np.iterable(value) else (value,))
         if self.kind not in ("sinc", "gaussian"):
             raise PacketSpecError(f"unknown packet kind {self.kind!r}")
         object.__setattr__(self, "helicity", _helicity(self.helicity))
         if len(self.k0) != 3 or len(self.x0) != 3:
             raise PacketSpecError("k0 and x0 must have three components")
-        if not all(map(math.isfinite, self.k0)):
-            raise PacketSpecError(f"k0 {list(self.k0)} must be finite")
+        for field in ("k0", "x0"):
+            values = list(getattr(self, field))
+            if not all(map(_finite, values)):
+                raise PacketSpecError(f"{field} {values} must be finite")
         if any(int(c) != c for c in self.x0):
             raise PacketSpecError("x0 components must be integers")
+        if not _finite(self.width):
+            raise PacketSpecError(f"width {self.width!r} must be finite")
         if self.width <= 0:
             raise PacketSpecError(f"width must be positive, got {self.width}")
         if self.kind == "sinc":
@@ -338,7 +349,7 @@ def evolve_spectral(state: LatticeState, steps: int) -> LatticeState:
     Each block of each mode turns by `steps` times its angle in one
     evaluation.  Accepts either basis and returns the same basis.
     """
-    if steps < 0 or int(steps) != steps:
+    if not isinstance(steps, numbers.Integral) or steps < 0:
         raise InvalidArgumentError(f"steps must be a nonnegative integer, got {steps}")
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
@@ -367,7 +378,7 @@ def evolve_direct(state: LatticeState, steps: int) -> LatticeState:
     evolve_spectral but touches no Fourier transform; serves as the
     independent evolution route.
     """
-    if steps < 0 or int(steps) != steps:
+    if not isinstance(steps, numbers.Integral) or steps < 0:
         raise InvalidArgumentError(f"steps must be a nonnegative integer, got {steps}")
     came_from_momentum = state.basis == MOMENTUM
     work = to_position(state) if came_from_momentum else state
@@ -448,12 +459,14 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     all samples and axes, in sites; `predicted` is the mode-weighted
     velocity, read from the same packet split.
     """
-    if sample_every < 1 or int(sample_every) != sample_every:
+    if not isinstance(sample_every, numbers.Integral) or sample_every < 1:
         raise InvalidArgumentError(
             f"sample_every must be a positive integer, got {sample_every}")
     if 2 * sample_every >= lattice.n:  # exact for any integer n
         raise InvalidArgumentError(
             f"sample_every {sample_every} >= n/2 breaks trajectory unwrapping")
+    if not isinstance(steps, numbers.Integral):
+        raise InvalidArgumentError(f"steps must be an integer, got {steps!r}")
     if steps < sample_every:
         raise InvalidArgumentError("need at least one sampling interval")
     samples = steps // sample_every + 1

@@ -146,11 +146,13 @@ def test_phase_within_arccos_range():
     for _ in range(200):
         p = phase(ReducedMomentum.wrap(*rng.uniform(-np.pi, np.pi, 3)))
         assert 0.0 <= p <= np.pi
-    # unwrapped momenta with at most one zero component (on an axis the
-    # angle is |kappa| itself): huge, +-pi and subnormal components
+    # unwrapped momenta: huge, +-pi and subnormal components, with up to
+    # two of them zero (on an axis out past pi the angle wraps)
     special = [np.pi, -np.pi, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300]
     points = [[a, b, c] for a in special for b in special for c in special]
     points += [[0.0, b, c] for b in special for c in special]
+    points += [np.roll([c, 0.0, 0.0], axis) for axis in range(3)
+               for c in special + [4.0, -3.5, np.pi + 1e-9, 1.7e308]]
     magnitudes = 10.0 ** rng.uniform(-320, 300, size=(3000, 3))
     points += list(rng.choice([-1.0, 1.0], size=(3000, 3)) * magnitudes)
     for k in points:
@@ -540,6 +542,27 @@ def test_property_scalar_phase_is_phase_grid_off_the_axes(k):
     for i, row in enumerate(off_axis):
         assert phase(row) == grid[i]
         assert mirror_phase(row) == mirror[i]
+
+
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.one_of(
+    st.tuples(any_float, any_float, any_float),
+    st.builds(lambda c, axis: tuple(np.roll([c, 0.0, 0.0], axis)),
+              any_float, st.integers(0, 2))))
+# the axis case returned |kappa| unwrapped: 4.0 here, and pi + 1e-9 just past pi
+@example(k=(4.0, 0.0, 0.0))
+@example(k=(np.pi + 1e-9, 0.0, 0.0))
+@example(k=(0.0, 0.0, -np.pi))
+def test_property_scalar_phase_is_its_grid_form_over_the_float_range(k):
+    # only on an axis inside the zone is the scalar form |kappa| itself
+    on_zone_axis = k.count(0.0) >= 2 and abs(sum(k)) <= np.pi
+    for scalar, grid in ((phase, phase_grid), (mirror_phase, mirror_phase_grid)):
+        angle = scalar(k)
+        assert 0.0 <= angle <= np.pi
+        assert angle == (abs(sum(k)) if on_zone_axis else grid(*k))
 
 
 def _near_pi(k1, k2, sign, offset):

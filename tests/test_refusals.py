@@ -1,22 +1,28 @@
 """Each refusal branch raises its own error class with its own message."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bosonwalk import cli, kernel, lattice
+from bosonwalk import anisotropy, cli, kernel, lattice
 from bosonwalk.bounds import (
     ExperimentRecord,
     PhysicalConstants,
     anisotropy_bound,
     dispersion_bound,
+    time_lag,
 )
 from bosonwalk.errors import (
     ArgumentOutOfRangeError,
     CatalogValidationError,
     InvalidArgumentError,
     PacketSpecError,
+    SeriesOutOfRangeError,
+    WalkError,
 )
 
 
@@ -42,6 +48,16 @@ def _uniform_state():
     lat = lattice.Lattice(4)
     amplitudes = np.full((4, 4, 4, 6), 1 / np.sqrt(4**3 * 6), dtype=complex)
     return lattice.LatticeState(lat, lattice.MOMENTUM, amplitudes)
+
+
+def _spec(**fields):
+    return lattice.WavePacketSpec(**{"kind": "sinc", "k0": (0.4, 0.0, 0.0),
+                                     "x0": (0, 0, 0), "width": 2, **fields})
+
+
+def _measure(**arguments):
+    return lattice.measure_group_velocity(lattice.Lattice(16), _spec(),
+                                          **{"steps": 4, **arguments})
 
 
 REFUSALS = {
@@ -87,6 +103,83 @@ REFUSALS = {
             "gaussian", (value, 0.0, 0.0), (0, 0, 0), np.pi / 8),
         PacketSpecError, f"k0 [{value}, 0.0, 0.0] must be finite")
        for value in (float("nan"), float("inf"), -float("inf"))},
+    "packet width of NaN": (
+        lambda tmp: _spec(width=math.nan), PacketSpecError,
+        "width nan must be finite"),
+    "packet width given as a string": (
+        lambda tmp: _spec(width="2"), PacketSpecError,
+        "width '2' must be finite"),
+    "packet k0 holding a string": (
+        lambda tmp: _spec(k0=("a", 0, 0)), PacketSpecError,
+        "k0 ['a', 0, 0] must be finite"),
+    "packet k0 given as one number": (
+        lambda tmp: _spec(k0=0.5), PacketSpecError,
+        "k0 and x0 must have three components"),
+    "packet x0 of inf": (
+        lambda tmp: _spec(x0=(math.inf, 0, 0)), PacketSpecError,
+        "x0 [inf, 0, 0] must be finite"),
+    "momentum of NaN": (
+        lambda tmp: kernel.phase((math.nan, 0, 0)), InvalidArgumentError,
+        "momentum components must be finite numbers, got [nan, 0.0, 0.0]"),
+    "momentum given as a string": (
+        lambda tmp: kernel.phase("abc"), InvalidArgumentError,
+        "expected 3 momentum components, got shape ()"),
+    "momentum holding a string": (
+        lambda tmp: kernel.group_velocity_analytic(("a", 0.1, 0.2)),
+        InvalidArgumentError,
+        "momentum components must be finite numbers, got ['a', '0.1', '0.2']"),
+    "wrapped momentum of inf": (
+        lambda tmp: kernel.ReducedMomentum.wrap(math.inf, 0, 0),
+        InvalidArgumentError,
+        "momentum components must be finite numbers, got [inf, 0.0, 0.0]"),
+    "reduced momentum outside the zone": (
+        lambda tmp: kernel.ReducedMomentum(4.0, 0, 0), InvalidArgumentError,
+        "momentum (4.0, 0, 0) outside (-pi, pi]^3"),
+    "speed deviation series outside the zone": (
+        lambda tmp: kernel.speed_deviation_series((4.0, 0, 0)),
+        SeriesOutOfRangeError, "kappa [4.0, 0.0, 0.0] outside the reduced zone"),
+    "numeric velocity step given as a string": (
+        lambda tmp: kernel.group_velocity_numeric((0.1, 0.2, 0.3), "a"),
+        ArgumentOutOfRangeError, "step 'a' outside [1e-8, 1e-2]"),
+    "lattice size of a float": (
+        lambda tmp: lattice.Lattice(4.0), InvalidArgumentError,
+        "lattice size must be even and >= 4, got 4.0"),
+    "measured steps of a fraction": (
+        lambda tmp: _measure(steps=2.5), InvalidArgumentError,
+        "steps must be an integer, got 2.5"),
+    "measured sample interval of a float": (
+        lambda tmp: _measure(sample_every=2.0), InvalidArgumentError,
+        "sample_every must be a positive integer, got 2.0"),
+    "evolved steps of a fraction": (
+        lambda tmp: lattice.evolve_spectral(_uniform_state(), 2.5),
+        InvalidArgumentError, "steps must be a nonnegative integer, got 2.5"),
+    "sphere statistics of NaN points": (
+        lambda tmp: anisotropy.sphere_stats(math.nan), ArgumentOutOfRangeError,
+        "need n_theta, n_phi >= 16, got nan, 64"),
+    "anisotropy map of a fractional size": (
+        lambda tmp: anisotropy.anisotropy_map(2.5, 4), ArgumentOutOfRangeError,
+        "need n_theta, n_phi >= 1, got 2.5, 4"),
+    "direction given as a string": (
+        lambda tmp: anisotropy.Direction("a", 0.0), ArgumentOutOfRangeError,
+        "theta a outside [0, pi]"),
+    "deviation at a NaN momentum": (
+        lambda tmp: anisotropy.deviation_for_direction(
+            math.nan, anisotropy.Direction(1.0, 1.0)),
+        SeriesOutOfRangeError,
+        "kappa magnitude nan outside the series window [0, 0.1]"),
+    "physical constant of NaN": (
+        lambda tmp: PhysicalConstants(hbar_c=math.nan), ArgumentOutOfRangeError,
+        "hbar_c must be finite and positive"),
+    "record bound given as a string": (
+        lambda tmp: _record("dispersion", e_qg_lower_bound="a", liv_order=1,
+                            sign=1), CatalogValidationError,
+        "record 'r': e_qg_lower_bound must be finite"),
+    "time lag over a NaN distance": (
+        lambda tmp: time_lag(math.nan, 1.0, 0.0, 1e20), ArgumentOutOfRangeError,
+        "distance must be finite, got nan"),
+    "time lag past the float range": (
+        lambda tmp: time_lag(1.0, 1e308, 0.0, 1e20, n=2), ArgumentOutOfRangeError,
+        "the time lag leaves the float range"),
     "packet x0 of two components": (
         lambda tmp: lattice.WavePacketSpec("sinc", (0.1, 0.2, 0.3), (0, 0), 2),
         PacketSpecError, "k0 and x0 must have three components"),
@@ -111,3 +204,176 @@ def test_refusal_raises_its_class_and_message(tmp_path, case):
         call(tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message.format(tmp=tmp_path)
+
+
+# ----------------------------------------------------- hostile arguments
+
+HOSTILE = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -2.2e-310,
+           True, False, "a", "2", 2.5, 16.0)
+# a hostile value or an ordinary one, so that some calls get through
+numbers = st.one_of(st.sampled_from(HOSTILE), st.floats(-4.0, 4.0),
+                    st.integers(-3, 40))
+triples = st.tuples(numbers, numbers, numbers)
+# three components, a wrong count of them, or a bare number
+momenta = st.one_of(
+    triples, numbers,
+    st.lists(numbers, max_size=5).filter(lambda v: len(v) != 3).map(tuple))
+
+
+def _choice(*valid):
+    """A selector argument: one of its valid values, or any number."""
+    return st.one_of(st.sampled_from(valid), numbers)
+
+
+def _angle(value):
+    assert isinstance(value, float) and 0.0 <= value <= math.pi, value
+
+
+def _finite(*values):
+    for value in values:
+        assert np.isfinite(np.asarray(value, dtype=complex)).all(), value
+
+
+def _unitary(u):
+    assert u.shape == (6, 6)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-12
+
+
+def _in_zone(m):
+    assert all(-math.pi < c <= math.pi for c in (m.kx, m.ky, m.kz)), m
+
+
+def _branches(modes):
+    for b in modes:
+        _angle(b.phase)
+        _finite(b.forward, b.axis, b.backward)
+
+
+def _modes(d):
+    _angle(d.phase)
+    _angle(d.mirror_phase)
+    _finite(d.projector_plus, d.projector_zero, d.projector_minus)
+    assert np.allclose(np.abs(d.eigenvalues), 1.0, rtol=0, atol=1e-12)
+
+
+def _unit_vector(v):
+    assert v.shape == (6,) and abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+
+def _velocity(v):
+    _finite(v.vx, v.vy, v.vz)
+
+
+def _series(k, value):
+    # |kx ky kz| / |k|^2 peaks on the diagonals at |k| / (3 sqrt(3))
+    assert isinstance(value, float) and abs(value) <= (
+        math.hypot(*map(float, k)) / (3 * math.sqrt(3)) * (1 + 1e-12) + 1e-300)
+
+
+def _lattice(lat):
+    assert isinstance(lat.n, int) and lat.n >= 4 and lat.n % 2 == 0
+
+
+def _packet_spec(spec):
+    assert len(spec.k0) == len(spec.x0) == 3 and spec.helicity in (0, 1)
+    assert all(isinstance(c, (int, float)) and math.isfinite(c)
+               for c in (*spec.k0, *spec.x0, spec.width))
+
+
+def _measured(mv):
+    _velocity(mv.velocity)
+    _finite(mv.predicted, mv.fit_residual, mv.trajectory.positions)
+
+
+def _normalized(state):
+    assert abs(state.norm() - 1.0) <= 1e-12
+
+
+def _direction(d):
+    assert 0.0 <= d.theta <= math.pi and 0.0 <= d.phi < 2.0 * math.pi
+
+
+def _sphere(stats):
+    _finite(stats.mean, stats.rms_unit_average, stats.max, stats.min,
+            stats.quadrature_error_estimate)
+
+
+def _constants(c):
+    _finite(c.hbar_c, c.planck_length, c.speed_of_light)
+    assert min(c.hbar_c, c.planck_length, c.speed_of_light) > 0
+
+
+def _lag(value):
+    assert isinstance(value, float) and math.isfinite(value)
+
+
+_DIRECTION = anisotropy.Direction(1.0, 1.0)
+_STATE = lattice.random_state(lattice.Lattice(4), np.random.default_rng(2))
+
+# each public constructor and scalar function: a call on drawn arguments,
+# and the check of what it returns
+CALLS = {
+    "kernel.phase": lambda d: _angle(kernel.phase(d.draw(momenta))),
+    "kernel.mirror_phase": lambda d: _angle(kernel.mirror_phase(d.draw(momenta))),
+    "kernel.kernel_closed_form": lambda d: _unitary(
+        kernel.kernel_closed_form(d.draw(momenta))),
+    "kernel.kernel_exponential": lambda d: _unitary(
+        kernel.kernel_exponential(d.draw(momenta))),
+    "kernel.branch_decomposition": lambda d: _branches(
+        kernel.branch_decomposition(d.draw(momenta))),
+    "kernel.mode_decomposition": lambda d: _modes(
+        kernel.mode_decomposition(d.draw(momenta))),
+    "kernel.positive_energy_vector": lambda d: _unit_vector(
+        kernel.positive_energy_vector(d.draw(momenta), d.draw(_choice(0, 1)))),
+    "kernel.group_velocity_analytic": lambda d: _velocity(
+        kernel.group_velocity_analytic(d.draw(momenta))),
+    "kernel.group_velocity_numeric": lambda d: _velocity(
+        kernel.group_velocity_numeric(d.draw(momenta), d.draw(
+            st.one_of(numbers, st.floats(1e-8, 1e-2))))),
+    "kernel.speed_deviation_series": lambda d: _series(
+        k := d.draw(triples), kernel.speed_deviation_series(k)),
+    "kernel.phase_expansion_check": lambda d: _finite(
+        kernel.phase_expansion_check(d.draw(momenta))),
+    "kernel.ReducedMomentum": lambda d: _in_zone(
+        kernel.ReducedMomentum(*d.draw(triples))),
+    "kernel.ReducedMomentum.wrap": lambda d: _in_zone(
+        kernel.ReducedMomentum.wrap(*d.draw(triples))),
+    "lattice.Lattice": lambda d: _lattice(lattice.Lattice(d.draw(numbers))),
+    "lattice.WavePacketSpec": lambda d: _packet_spec(lattice.WavePacketSpec(
+        d.draw(_choice("sinc", "gaussian")),
+        d.draw(momenta), d.draw(momenta), d.draw(numbers),
+        helicity=d.draw(_choice(0, 1)))),
+    "lattice.snap_to_grid": lambda d: _in_zone(
+        lattice.snap_to_grid(d.draw(momenta), 16)),
+    "lattice.measure_group_velocity": lambda d: _measured(_measure(
+        steps=d.draw(numbers), sample_every=d.draw(numbers))),
+    "lattice.evolve_spectral": lambda d: _normalized(
+        lattice.evolve_spectral(_STATE, d.draw(numbers))),
+    "lattice.evolve_direct": lambda d: _normalized(
+        lattice.evolve_direct(_STATE, d.draw(numbers))),
+    "anisotropy.Direction": lambda d: _direction(
+        anisotropy.Direction(d.draw(numbers), d.draw(numbers))),
+    "anisotropy.deviation_for_direction": lambda d: _finite(
+        anisotropy.deviation_for_direction(d.draw(numbers), _DIRECTION)),
+    "anisotropy.sphere_stats": lambda d: _sphere(
+        anisotropy.sphere_stats(d.draw(numbers), d.draw(numbers))),
+    "anisotropy.anisotropy_map": lambda d: _finite(
+        *anisotropy.anisotropy_map(d.draw(numbers), d.draw(numbers))),
+    "bounds.PhysicalConstants": lambda d: _constants(
+        PhysicalConstants(*d.draw(triples))),
+    "bounds.time_lag": lambda d: _lag(time_lag(
+        *(d.draw(_choice(1.0, 1e20)) for _ in range(4)),
+        n=d.draw(_choice(1, 2)), s=d.draw(_choice(1, -1)))),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_hostile_arguments_are_answered_in_range_or_refused(name, data):
+    # NaN, infinities, 1e308, subnormals, bools, strings, floats where
+    # integers belong and wrong lengths: a value in range, or a WalkError
+    try:
+        CALLS[name](data)
+    except WalkError:
+        pass

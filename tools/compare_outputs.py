@@ -1,21 +1,35 @@
-"""Run a fixed list of bosonwalk invocations on two source trees and compare.
+"""Run a fixed list of bosonwalk invocations and compare their outputs.
 
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+    python tools/compare_outputs.py --record MANIFEST
 
-Each argument is a `src` directory holding the `bosonwalk` package.  Every
-invocation runs as `python -m bosonwalk ...` with that directory on
-PYTHONPATH, in a fresh working directory per tree, so the relative paths of
-packet files and `--out` targets read the same in both.  Stdout, stderr,
-the exit code and the bytes of any `--out` file are compared; each
-difference is printed with its invocation, and the exit status is 1 if
-any invocation differs, else 0.  Nothing here touches the network.
+Each SRC argument is a `src` directory holding the `bosonwalk` package.  The
+first form runs every invocation as `python -m bosonwalk ...` with that
+directory on PYTHONPATH, in a fresh working directory per tree, so the
+relative paths of packet files and `--out` targets read the same in both.
+Stdout, stderr, the exit code and the bytes of any `--out` file are
+compared; each difference is printed with its invocation, and the exit
+status is 1 if any invocation differs, else 0.
+
+The second form records the `src` beside this directory: for each
+invocation its exit code and the sha256 of its stdout, stderr and `--out`
+bytes, with the Python and numpy versions and the platform, as JSON in
+MANIFEST.  `tests/test_manifest.py` compares the package with the committed
+manifest.  Both run the list in process, through `bosonwalk.cli.main`, in
+one child interpreter started without the BLAS thread variables, so that
+the CLI pins one thread before numpy loads, as it does in its own process.
+Nothing here touches the network.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -23,6 +37,9 @@ import tempfile
 from pathlib import Path
 
 N = 64  # the benchmark's packet lattice
+FIELDS = ("exit code", "stdout", "stderr", "--out bytes")
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _packets() -> dict[str, dict]:
@@ -70,22 +87,101 @@ def invocations() -> list[tuple[str, ...]]:
     return runs
 
 
+def _work_directory(path: Path) -> Path:
+    path.mkdir(exist_ok=True)
+    for name, packet in _packets().items():
+        (path / f"{name}.json").write_text(json.dumps(packet))
+    return path
+
+
+def _take_out(argv: tuple[str, ...], work: Path):
+    """The bytes of the invocation's --out file, removed, or None."""
+    if "--out" not in argv:
+        return None
+    target = work / argv[argv.index("--out") + 1]
+    out = target.read_bytes() if target.exists() else None
+    target.unlink(missing_ok=True)
+    return out
+
+
 def _run(src: Path, argv: tuple[str, ...], work: Path) -> tuple:
     """(exit code, stdout, stderr, --out bytes or None) of one invocation."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-m", "bosonwalk", *argv], cwd=work,
                           env=env, capture_output=True, timeout=600)
-    out = None
-    if "--out" in argv:
-        target = work / argv[argv.index("--out") + 1]
-        out = target.read_bytes() if target.exists() else None
-        target.unlink(missing_ok=True)
-    return done.returncode, done.stdout, done.stderr, out
+    return done.returncode, done.stdout, done.stderr, _take_out(argv, work)
+
+
+def run_in_process(work: str) -> dict:
+    """Every invocation through `bosonwalk.cli.main` in this interpreter,
+    from the directory `work` that holds the packet files: the manifest."""
+    from bosonwalk import cli  # before numpy, so that it pins BLAS
+    os.chdir(work)
+    records = []
+    for argv in invocations():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # --version leaves through argparse
+                code = exc.code
+        result = (code, stdout.getvalue().encode(), stderr.getvalue().encode(),
+                  _take_out(argv, Path(work)))
+        records.append({"argv": list(argv), FIELDS[0]: code, **{
+            field: None if data is None else hashlib.sha256(data).hexdigest()
+            for field, data in zip(FIELDS[1:], result[1:])}})
+    import numpy
+    return {"environment": {"python": platform.python_version(),
+                            "numpy": numpy.__version__,
+                            "platform": platform.platform()},
+            "invocations": records}
+
+
+def manifest(src: Path = SRC) -> dict:
+    """run_in_process for the package in `src`, in a child interpreter
+    started without the BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = str(Path(src).resolve())
+    with tempfile.TemporaryDirectory() as tmp:
+        code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                "import compare_outputs; "
+                f"print(json.dumps(compare_outputs.run_in_process({tmp!r})))")
+        _work_directory(Path(tmp))
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp,
+                              capture_output=True, text=True, timeout=600)
+    if done.returncode:
+        raise RuntimeError(f"recording failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def differences(recorded: dict, current: dict) -> list[str]:
+    """One line per invocation and field that differ between two manifests,
+    then both environments; empty when every result is the same."""
+    lines = []
+    runs = {tuple(r["argv"]): r for r in current["invocations"]}
+    for old in recorded["invocations"]:
+        argv = tuple(old["argv"])
+        new = runs.pop(argv, None)
+        if new is None:
+            lines.append(f"{' '.join(argv)}: not run")
+            continue
+        fields = [field for field in FIELDS if old[field] != new[field]]
+        if fields:
+            lines.append(f"{' '.join(argv)}: {', '.join(fields)}")
+    lines += [f"{' '.join(argv)}: not recorded" for argv in runs]
+    if lines:
+        lines += [f"recorded in {recorded['environment']}",
+                  f"run in {current['environment']}"]
+    return lines
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC",
+    if len(argv) == 2 and argv[0] == "--record":
+        Path(argv[1]).write_text(json.dumps(manifest(), indent=1) + "\n")
+        return 0
+    if len(argv) != 2 or argv[0].startswith("-"):
+        print("usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC\n"
+              "       python tools/compare_outputs.py --record MANIFEST",
               file=sys.stderr)
         return 2
     srcs = [Path(a).resolve() for a in argv]
@@ -94,17 +190,12 @@ def main(argv: list[str]) -> int:
             print(f"{src}: no bosonwalk package here", file=sys.stderr)
             return 2
     with tempfile.TemporaryDirectory() as tmp:
-        works = [Path(tmp) / side for side in ("parent", "change")]
-        for work in works:
-            work.mkdir()
-            for name, packet in _packets().items():
-                (work / f"{name}.json").write_text(json.dumps(packet))
+        works = [_work_directory(Path(tmp) / side) for side in ("parent", "change")]
         runs = invocations()
         differ = 0
         for args in runs:
             results = [_run(src, args, work) for src, work in zip(srcs, works)]
-            fields = [field for field, a, b in zip(
-                ("exit code", "stdout", "stderr", "--out bytes"), *results) if a != b]
+            fields = [field for field, a, b in zip(FIELDS, *results) if a != b]
             if fields:
                 differ += 1
                 print(f"DIFFER {' '.join(args)}: {', '.join(fields)}")
