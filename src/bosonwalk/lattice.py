@@ -142,7 +142,7 @@ def snap_to_grid(k0, n: int) -> ReducedMomentum:
     with np.errstate(over="ignore"):
         snapped = 2.0 * np.pi * np.rint(k * n / (2.0 * np.pi)) / n
     # where k n overflows, the exact image of k in (-2 pi, 2 pi) is snapped
-    huge = np.isinf(snapped) & np.isfinite(k)
+    huge = np.isinf(snapped)  # k itself is finite
     snapped[huge] = 2.0 * np.pi * np.rint(np.fmod(k[huge], 2.0 * np.pi) * n
                                           / (2.0 * np.pi)) / n
     return ReducedMomentum.wrap(*snapped)
