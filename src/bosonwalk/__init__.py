@@ -15,6 +15,7 @@ Submodules:
 
 import importlib
 import math
+import numbers
 from types import MappingProxyType
 
 __version__ = "0.1.0"
@@ -33,6 +34,12 @@ CONSTANTS = MappingProxyType({
 RMS_UNIT_AVERAGE = 1.0 / math.sqrt(105.0)
 RMS_SOLID_ANGLE = math.sqrt(4.0 * math.pi / 105.0)
 SPREAD_MAX = 2.0 / (3.0 * math.sqrt(3.0))
+
+
+def _finite(value) -> bool:
+    """The scalar-argument gate of bounds and lattice: a finite real number."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
 
 from . import errors
 from .errors import *  # noqa: F403 -- errors defines the error classes only

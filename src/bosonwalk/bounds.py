@@ -19,11 +19,17 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
-from . import CONSTANTS, RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX, budget
+from . import (
+    CONSTANTS,
+    RMS_SOLID_ANGLE,
+    RMS_UNIT_AVERAGE,
+    SPREAD_MAX,
+    _finite,
+    budget,
+)
 from .errors import (
     ArgumentOutOfRangeError,
     CatalogParseError,
@@ -40,10 +46,6 @@ NORMALIZATIONS = {
     "unit_average_rms": RMS_UNIT_AVERAGE,
     "max_spread": SPREAD_MAX,
 }
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -249,11 +251,17 @@ def time_lag(distance: float, e_high: float, e_low: float, e_qg: float,
         raise ArgumentOutOfRangeError(f"order n must be 1 or 2, got {n}")
     if s not in (1, -1):
         raise ArgumentOutOfRangeError(f"sign s must be +1 or -1, got {s}")
-    c = PhysicalConstants().speed_of_light
+    scale = s * (distance / PhysicalConstants().speed_of_light) * ((n + 1) / 2.0)
     try:
-        lag = s * (distance / c) * ((n + 1) / 2.0) * (e_high**n - e_low**n) / e_qg**n
+        lag = scale * (e_high**n - e_low**n) / e_qg**n
     except (OverflowError, ZeroDivisionError):  # a power past the float range
-        lag = 0.0 if e_high == e_low else math.inf
+        lag = math.nan
+    if not math.isfinite(lag) or (lag == 0.0 and e_high != e_low):
+        # the same lag from energy ratios, which stay in range where powers do not
+        try:
+            lag = scale * ((e_high / e_qg)**n - (e_low / e_qg)**n)
+        except OverflowError:
+            lag = math.inf
     if not math.isfinite(lag):
         raise ArgumentOutOfRangeError("the time lag leaves the float range")
     return lag

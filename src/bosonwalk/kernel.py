@@ -92,6 +92,12 @@ def _components(kappa) -> np.ndarray:
     if arr.shape != (3,):
         raise InvalidArgumentError(
             f"expected 3 momentum components, got shape {arr.shape}")
+    if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr):
+        try:  # integers past int64, fractions
+            arr = arr.astype(float)
+        except OverflowError:
+            raise InvalidArgumentError(
+                "momentum components must lie within the float range") from None
     if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
         raise InvalidArgumentError(
             f"momentum components must be finite numbers, got {arr.tolist()}")

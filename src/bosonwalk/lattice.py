@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import budget
+from . import _finite, budget
 from .algebra import Axis, build_projectors
 from .errors import (
     BasisMismatchError,
@@ -146,10 +146,6 @@ def snap_to_grid(k0, n: int) -> ReducedMomentum:
     snapped[huge] = 2.0 * np.pi * np.rint(np.fmod(k[huge], 2.0 * np.pi) * n
                                           / (2.0 * np.pi)) / n
     return ReducedMomentum.wrap(*snapped)
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _helicity(helicity) -> int:

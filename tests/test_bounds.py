@@ -217,6 +217,16 @@ def test_time_lag_scaling_and_sign():
     assert np.isclose(quad, (1.5 * (4 - 1) / 1e20), rtol=1e-14)
 
 
+def test_time_lag_where_the_energy_powers_leave_the_float_range():
+    c = PhysicalConstants().speed_of_light
+    # e_qg**2 overflows; the true lag, about 5e-409 s, underflows to 0
+    assert time_lag(1.0, 1.0, 0.0, 1e200, n=2) == 0.0
+    # both powers underflow to 0; the energy ratio is 1
+    assert time_lag(1.0, 1e-200, 0.0, 1e-200, n=2) == 1.5 / c
+    # the numerator alone underflows to 0; the ratio squared is 1e-200
+    assert np.isclose(time_lag(c, 1e-200, 0.0, 1e-100, n=2), 1.5e-200, rtol=1e-14)
+
+
 def test_time_lag_validation():
     with pytest.raises(ArgumentOutOfRangeError):
         time_lag(-1.0, 1.0, 0.0, 1e20)

@@ -38,7 +38,7 @@ from bosonwalk.kernel import (
     surface_table,
     velocity_grid,
 )
-from bosonwalk.lattice import Lattice
+from bosonwalk.lattice import Lattice, snap_to_grid
 
 
 def random_momenta(count, rng, margin=0.15):
@@ -139,6 +139,14 @@ def test_axis_phase_is_exact_momentum():
             comps = [0.0, 0.0, 0.0]
             comps[axis] = mag
             assert np.isclose(phase(ReducedMomentum.wrap(*comps)), mag, atol=1e-13)
+
+
+def test_integer_momenta_past_int64_are_numbers():
+    # an int too large for int64 makes an object array; it is read as a float
+    k = (10**20, 0, 0)
+    assert phase(k) == phase((1e20, 0.0, 0.0))
+    assert ReducedMomentum.wrap(*k) == ReducedMomentum.wrap(1e20, 0.0, 0.0)
+    assert snap_to_grid(k, 16) == snap_to_grid((1e20, 0.0, 0.0), 16)
 
 
 def test_phase_within_arccos_range():

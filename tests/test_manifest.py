@@ -30,4 +30,6 @@ def test_cli_outputs_match_the_committed_manifest():
     recorded = json.loads(MANIFEST.read_text())
     current = tool.manifest(Path(bosonwalk.__file__).parent.parent)
     differences = tool.differences(recorded, current)
-    assert not differences, "\n".join(differences)
+    assert not differences, "\n".join(
+        [*differences, f"recorded in {recorded['environment']}",
+         f"run in {current['environment']}"])

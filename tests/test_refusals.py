@@ -128,6 +128,9 @@ REFUSALS = {
         lambda tmp: kernel.group_velocity_analytic(("a", 0.1, 0.2)),
         InvalidArgumentError,
         "momentum components must be finite numbers, got ['a', '0.1', '0.2']"),
+    "momentum of an integer past the float range": (
+        lambda tmp: kernel.phase((10**400, 0, 0)), InvalidArgumentError,
+        "momentum components must lie within the float range"),
     "wrapped momentum of inf": (
         lambda tmp: kernel.ReducedMomentum.wrap(math.inf, 0, 0),
         InvalidArgumentError,

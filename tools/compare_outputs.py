@@ -3,22 +3,20 @@
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
     python tools/compare_outputs.py --record MANIFEST
 
-Each SRC argument is a `src` directory holding the `bosonwalk` package.  The
-first form runs every invocation as `python -m bosonwalk ...` with that
-directory on PYTHONPATH, in a fresh working directory per tree, so the
-relative paths of packet files and `--out` targets read the same in both.
-Stdout, stderr, the exit code and the bytes of any `--out` file are
-compared; each difference is printed with its invocation, and the exit
-status is 1 if any invocation differs, else 0.
+Each SRC argument is a `src` directory holding the `bosonwalk` package.
+Both forms run the list in process, through `bosonwalk.cli.main`, in one
+child interpreter per package started without the BLAS thread variables,
+so that the CLI pins one thread before numpy loads, as it does in its own
+process.  Each invocation yields its exit code and the sha256 of its
+stdout, stderr and `--out` bytes, with the Python and numpy versions, the
+CPU features numpy dispatches to and the platform: a manifest.
 
-The second form records the `src` beside this directory: for each
-invocation its exit code and the sha256 of its stdout, stderr and `--out`
-bytes, with the Python and numpy versions and the platform, as JSON in
-MANIFEST.  `tests/test_manifest.py` compares the package with the committed
-manifest.  Both run the list in process, through `bosonwalk.cli.main`, in
-one child interpreter started without the BLAS thread variables, so that
-the CLI pins one thread before numpy loads, as it does in its own process.
-Nothing here touches the network.
+The first form compares the manifests of two packages, prints each
+invocation and field that differ, and exits with status 1 if any
+invocation differs, else 0.  The second writes the manifest of the `src`
+beside this directory as JSON in MANIFEST; `tests/test_manifest.py`
+compares the package with the committed manifest.  Nothing here touches
+the network.
 """
 
 from __future__ import annotations
@@ -104,14 +102,6 @@ def _take_out(argv: tuple[str, ...], work: Path):
     return out
 
 
-def _run(src: Path, argv: tuple[str, ...], work: Path) -> tuple:
-    """(exit code, stdout, stderr, --out bytes or None) of one invocation."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-m", "bosonwalk", *argv], cwd=work,
-                          env=env, capture_output=True, timeout=600)
-    return done.returncode, done.stdout, done.stderr, _take_out(argv, work)
-
-
 def run_in_process(work: str) -> dict:
     """Every invocation through `bosonwalk.cli.main` in this interpreter,
     from the directory `work` that holds the packet files: the manifest."""
@@ -131,8 +121,11 @@ def run_in_process(work: str) -> dict:
             field: None if data is None else hashlib.sha256(data).hexdigest()
             for field, data in zip(FIELDS[1:], result[1:])}})
     import numpy
+    from numpy._core._multiarray_umath import __cpu_features__
     return {"environment": {"python": platform.python_version(),
                             "numpy": numpy.__version__,
+                            "cpu features": sorted(
+                                name for name, on in __cpu_features__.items() if on),
                             "platform": platform.platform()},
             "invocations": records}
 
@@ -155,8 +148,8 @@ def manifest(src: Path = SRC) -> dict:
 
 
 def differences(recorded: dict, current: dict) -> list[str]:
-    """One line per invocation and field that differ between two manifests,
-    then both environments; empty when every result is the same."""
+    """One line per invocation that differs between two manifests, naming
+    the fields; empty when every result is the same."""
     lines = []
     runs = {tuple(r["argv"]): r for r in current["invocations"]}
     for old in recorded["invocations"]:
@@ -169,9 +162,6 @@ def differences(recorded: dict, current: dict) -> list[str]:
         if fields:
             lines.append(f"{' '.join(argv)}: {', '.join(fields)}")
     lines += [f"{' '.join(argv)}: not recorded" for argv in runs]
-    if lines:
-        lines += [f"recorded in {recorded['environment']}",
-                  f"run in {current['environment']}"]
     return lines
 
 
@@ -189,18 +179,11 @@ def main(argv: list[str]) -> int:
         if not (src / "bosonwalk" / "__init__.py").is_file():
             print(f"{src}: no bosonwalk package here", file=sys.stderr)
             return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        works = [_work_directory(Path(tmp) / side) for side in ("parent", "change")]
-        runs = invocations()
-        differ = 0
-        for args in runs:
-            results = [_run(src, args, work) for src, work in zip(srcs, works)]
-            fields = [field for field, a, b in zip(FIELDS, *results) if a != b]
-            if fields:
-                differ += 1
-                print(f"DIFFER {' '.join(args)}: {', '.join(fields)}")
-    print(f"{len(runs)} invocations, {differ} differ")
-    return 1 if differ else 0
+    lines = differences(*map(manifest, srcs))
+    for line in lines:
+        print(f"DIFFER {line}")
+    print(f"{len(invocations())} invocations, {len(lines)} differ")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
