@@ -4,7 +4,7 @@ from bosonwalk import bounds
 
 constants = bounds.PhysicalConstants()
 records = bounds.load_experiments(bounds.bundled_catalog_path())
-entries = bounds.run_catalog(records, constants, bounds.CatalogOptions())
+entries = bounds.run_catalog(records, constants)
 
 print(f"planck length {constants.planck_length:.4e} m\n")
 print(f"{'experiment':38s} {'dx upper bound':>15s} {'/ planck':>12s}")

@@ -13,7 +13,7 @@ component in place, and moves the minus component one site back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import permutations, product
 
@@ -65,9 +65,6 @@ class ProjectorTriple:
     zero: np.ndarray
     minus: np.ndarray
 
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.plus, self.zero, self.minus)
-
 
 def build_projectors(axis: Axis | int) -> ProjectorTriple:
     """Return the projector triple for one axis.
@@ -115,12 +112,7 @@ class ConditionReport:
     c_zero: float
     tolerance: float
     passed: bool
-    max_residual: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "max_residual", max(c.residual for c in self.checks)
-        )
+    max_residual: float
 
 
 def verify_projector_conditions(tolerance: float = 1e-14) -> ConditionReport:
@@ -171,4 +163,5 @@ def verify_projector_conditions(tolerance: float = 1e-14) -> ConditionReport:
         c_zero=c_zero,
         tolerance=tolerance,
         passed=(max_res <= tolerance and const_err <= tolerance),
+        max_residual=max_res,
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 from . import (
@@ -65,9 +65,6 @@ class PhysicalConstants:
     def rounded(cls) -> "PhysicalConstants":
         """The coarser hbar c = 2e-7 eV m often used in quick estimates."""
         return cls(hbar_c=2e-16)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,17 +119,14 @@ class BoundResult:
     delta_x_upper_bound: float  # m
     ratio_to_planck: float
     normalization_used: str
-    inputs_echo: dict
     alternate_delta_x_upper_bound: Optional[float] = None
     note: Optional[str] = None
+    inputs_echo: dict = field(kw_only=True)  # last, as the json output shows it
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.delta_x_upper_bound, self.ratio_to_planck,
                                        self.alternate_delta_x_upper_bound or 0.0))):
             raise OverflowError(f"record {self.experiment_id!r}: bound is not finite")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -143,16 +137,13 @@ class UnsupportedEntry:
     note: str
     inputs_echo: dict
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 CatalogEntry = Union[BoundResult, UnsupportedEntry]
 
 
 def _echo(record: ExperimentRecord, constants: PhysicalConstants,
           **factors) -> dict:
-    return {"record": asdict(record), "constants": constants.as_dict(),
+    return {"record": asdict(record), "constants": asdict(constants),
             **factors}
 
 
@@ -343,30 +334,19 @@ def bundled_catalog_path() -> str:
     return str(files("bosonwalk") / "data" / "experiments.json")
 
 
-@dataclass(frozen=True)
-class CatalogOptions:
-    """run_catalog's normalization (a NORMALIZATIONS key) and paper_compat
-    (see anisotropy_bound); defaults reproduce the published arithmetic."""
-
-    normalization: str = "paper_rms"
-    paper_compat: bool = True
-
-    def resolved_rms_factor(self) -> float:
-        if self.normalization not in NORMALIZATIONS:
-            raise ArgumentOutOfRangeError(
-                f"unknown normalization {self.normalization!r}")
-        return NORMALIZATIONS[self.normalization]
-
-
 def run_catalog(records, constants: PhysicalConstants,
-                options: Optional[CatalogOptions] = None) -> list[CatalogEntry]:
+                normalization: str = "paper_rms",
+                paper_compat: bool = True) -> list[CatalogEntry]:
     """Convert every applicable record; annotate the rest.
 
+    normalization is a NORMALIZATIONS key; paper_compat is as in
+    anisotropy_bound.  The defaults reproduce the published arithmetic.
     Numeric results come first, sorted by bound ascending (tightest
     first); entries the model cannot convert follow in input order with
     an explanatory note.
     """
-    options = options or CatalogOptions()
+    if normalization not in NORMALIZATIONS:
+        raise ArgumentOutOfRangeError(f"unknown normalization {normalization!r}")
     numeric = []
     annotated = []
     for record in records:
@@ -379,10 +359,9 @@ def run_catalog(records, constants: PhysicalConstants,
             ))
         elif record.kind == DISPERSION:
             numeric.append(dispersion_bound(
-                record, constants, options.resolved_rms_factor(),
-                options.normalization))
+                record, constants, NORMALIZATIONS[normalization], normalization))
         else:
-            numeric.append(anisotropy_bound(
-                record, constants, paper_compat=options.paper_compat))
+            numeric.append(anisotropy_bound(record, constants,
+                                            paper_compat=paper_compat))
     numeric.sort(key=lambda r: r.delta_x_upper_bound)
     return numeric + annotated

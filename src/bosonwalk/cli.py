@@ -328,12 +328,12 @@ def cmd_anisotropy(args) -> int:
 # ------------------------------------------------------------------- bounds
 
 def cmd_bounds(args) -> int:
-    from .bounds import (BoundResult, CatalogOptions, PhysicalConstants,
-                         bundled_catalog_path, load_experiments, run_catalog)
+    from .bounds import (BoundResult, PhysicalConstants, bundled_catalog_path,
+                         load_experiments, run_catalog)
     path = args.experiments if args.experiments else bundled_catalog_path()
     records = load_experiments(path)
-    options = CatalogOptions(paper_compat=args.paper_compat)
-    entries = run_catalog(records, PhysicalConstants(), options)
+    entries = run_catalog(records, PhysicalConstants(),
+                          paper_compat=args.paper_compat)
     if args.format == "csv":
         import csv
         import io
@@ -350,10 +350,9 @@ def cmd_bounds(args) -> int:
         text = buffer.getvalue()
     else:
         import json
-        payload = [e.as_dict() for e in entries]
-        for item in payload:  # the echo goes last
-            item["inputs_echo"] = item.pop("inputs_echo")
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        from dataclasses import asdict
+        text = json.dumps([asdict(e) for e in entries], indent=2,
+                          allow_nan=False) + "\n"
     _write_output(args.out, [text])
     return EXIT_OK
 

@@ -65,8 +65,7 @@ def _safe_momenta(rng, count, margin=0.2):
 
 def _check_algebra(results):
     report = algebra.verify_projector_conditions(1e-12)
-    worst = max(c.residual for c in report.checks)
-    results.append(_result("algebra.projector_conditions", worst, 1e-12,
+    results.append(_result("algebra.projector_conditions", report.max_residual, 1e-12,
                            f"{len(report.checks)} named conditions"))
 
     res = 0.0

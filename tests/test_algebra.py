@@ -54,7 +54,7 @@ def test_gamma_block_structure():
 @pytest.mark.parametrize("axis", AXES)
 def test_projector_triple_is_a_resolution(axis):
     t = build_projectors(axis)
-    for p in t.as_tuple():
+    for p in (t.plus, t.zero, t.minus):
         assert is_projector(p)
     np.testing.assert_allclose(t.plus + t.zero + t.minus, np.eye(6), atol=1e-15)
     # orthogonality within the axis

@@ -15,7 +15,6 @@ from bosonwalk.anisotropy import RMS_SOLID_ANGLE, SPREAD_MAX
 from bosonwalk.bounds import (
     NORMALIZATIONS,
     BoundResult,
-    CatalogOptions,
     ExperimentRecord,
     PhysicalConstants,
     UnsupportedEntry,
@@ -273,12 +272,22 @@ def test_run_catalog_normalization_option():
     records = [GRB_SUB]
     default = run_catalog(records, PhysicalConstants())[0]
     unit = run_catalog(records, PhysicalConstants(),
-                       CatalogOptions(normalization="unit_average_rms"))[0]
+                       normalization="unit_average_rms")[0]
     assert np.isclose(unit.delta_x_upper_bound / default.delta_x_upper_bound,
                       math.sqrt(4 * math.pi), rtol=1e-12)
     with pytest.raises(ArgumentOutOfRangeError):
-        run_catalog(records, PhysicalConstants(),
-                    CatalogOptions(normalization="nonsense"))
+        run_catalog(records, PhysicalConstants(), normalization="nonsense")
+
+
+def test_run_catalog_refuses_an_unknown_normalization_whatever_the_records():
+    # no record here reads the normalization, and it is still refused
+    records = [r for r in load_experiments(bundled_catalog_path())
+               if r.kind == "anisotropy"]
+    assert records
+    for catalog in (records, []):
+        with pytest.raises(ArgumentOutOfRangeError,
+                           match="^unknown normalization 'nonsense'$"):
+            run_catalog(catalog, PhysicalConstants(), normalization="nonsense")
 
 
 def test_run_catalog_empty():

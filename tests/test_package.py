@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
 
 def test_constants_have_one_home():
     from bosonwalk import anisotropy, bounds
-    assert list(bounds.PhysicalConstants().as_dict().items()) == list(
+    assert list(asdict(bounds.PhysicalConstants()).items()) == list(
         bosonwalk.CONSTANTS.items())
     for name in ("RMS_UNIT_AVERAGE", "RMS_SOLID_ANGLE", "SPREAD_MAX"):
         value = getattr(bosonwalk, name)
