@@ -19,6 +19,8 @@ from itertools import permutations, product
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 
 class Axis(IntEnum):
     X = 0
@@ -38,18 +40,26 @@ C_SIDE = 0.25
 C_ZERO = 0.5
 
 
+def _axis(axis) -> Axis:
+    """The builders' one gate: an Axis or the integer 0, 1 or 2, not a bool."""
+    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
+            or axis not in (0, 1, 2)):
+        raise InvalidArgumentError(f"axis must be 0, 1 or 2, got {axis!r}")
+    return Axis(axis)
+
+
 def build_spin1_matrix(axis: Axis | int) -> np.ndarray:
     """Return the 3x3 spin-1 generator for an axis.
 
     The generators satisfy [J_x, J_y] = i J_z (cyclic) and have
     eigenvalues {+1, 0, -1}.
     """
-    return _J[Axis(axis)].copy()
+    return _J[_axis(axis)].copy()
 
 
 def build_gamma(axis: Axis | int) -> np.ndarray:
     """Return the 6x6 block generator diag(J_axis, -J_axis)."""
-    j = _J[Axis(axis)]
+    j = _J[_axis(axis)]
     g = np.zeros((6, 6), dtype=complex)
     g[:3, :3] = j
     g[3:, 3:] = -j
@@ -73,7 +83,7 @@ def build_projectors(axis: Axis | int) -> ProjectorTriple:
     generator cubes to itself these are exact projectors summing to the
     identity, and plus - minus = G.
     """
-    axis = Axis(axis)
+    axis = _axis(axis)
     g = build_gamma(axis)
     g2 = g @ g
     return ProjectorTriple(

@@ -147,6 +147,13 @@ def _echo(record: ExperimentRecord, constants: PhysicalConstants,
             **factors}
 
 
+def _check_factor(name: str, value) -> None:
+    if not _finite(value):
+        raise ArgumentOutOfRangeError(f"{name} must be finite, got {value!r}")
+    if value <= 0:
+        raise ArgumentOutOfRangeError(f"{name} must be positive")
+
+
 def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
                      rms_factor: float = RMS_SOLID_ANGLE,
                      normalization: str = "paper_rms") -> BoundResult:
@@ -159,8 +166,7 @@ def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
     if record.kind != DISPERSION:
         raise ArgumentOutOfRangeError(
             f"record {record.id!r} is not a dispersion record")
-    if rms_factor <= 0:
-        raise ArgumentOutOfRangeError("rms_factor must be positive")
+    _check_factor("rms_factor", rms_factor)
     if record.liv_order == 2:
         raise UnsupportedOrderError(
             f"record {record.id!r} constrains quadratic-order dispersion; "
@@ -192,8 +198,7 @@ def anisotropy_bound(record: ExperimentRecord, constants: PhysicalConstants,
     if record.kind != ANISOTROPY:
         raise ArgumentOutOfRangeError(
             f"record {record.id!r} is not an anisotropy record")
-    if spread_factor <= 0:
-        raise ArgumentOutOfRangeError("spread_factor must be positive")
+    _check_factor("spread_factor", spread_factor)
     if record.wavelength is None:
         raise MissingWavelengthError(
             f"record {record.id!r} has no wavelength; the photon energy "

@@ -334,7 +334,13 @@ def group_velocity_analytic(kappa) -> GroupVelocity:
 
 
 def group_velocity_numeric(kappa, step: float = 1e-6) -> GroupVelocity:
-    """Central-difference gradient of phase(kappa), for cross-checking."""
+    """Central-difference gradient of phase(kappa), for cross-checking.
+
+    Each difference is divided by the step the floats actually took.  A
+    component so large that the floats next to it lie more than 1% of
+    `step` off k +- step is refused: its quotient would not be centred on
+    kappa, or would not exist.
+    """
     if not (isinstance(step, numbers.Real) and 1e-8 <= step <= 1e-2):
         raise ArgumentOutOfRangeError(f"step {step!r} outside [1e-8, 1e-2]")
     k = _components(kappa)
@@ -342,7 +348,12 @@ def group_velocity_numeric(kappa, step: float = 1e-6) -> GroupVelocity:
     for i in range(3):
         delta = np.zeros(3)
         delta[i] = step
-        comps.append((phase(k + delta) - phase(k - delta)) / (2.0 * step))
+        up, down = k + delta, k - delta
+        if max(abs(up[i] - k[i] - step), abs(k[i] - down[i] - step)) > 0.01 * step:
+            raise ArgumentOutOfRangeError(
+                f"kappa {k.tolist()} is too large for a difference step of "
+                f"{step!r}: the floats near it are too far apart")
+        comps.append((phase(up) - phase(down)) / (up[i] - down[i]))
     return GroupVelocity(*comps)
 
 

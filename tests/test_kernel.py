@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -340,6 +340,30 @@ def test_analytic_velocity_matches_finite_differences():
         va = group_velocity_analytic(k).as_array()
         vn = group_velocity_numeric(k).as_array()
         assert np.max(np.abs(va - vn)) / max(np.max(np.abs(va)), 1e-3) <= 1e-7
+
+
+# a component of either sign whose magnitude is log-uniform in [1e-3, 1e308],
+# or in [1e-3, 1e9], where the floats are dense enough for some answers
+wide_components = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent, st.sampled_from((1.0, -1.0)),
+    st.one_of(st.floats(-3.0, 308.0), st.floats(-3.0, 9.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(kappa=(1e9, 0.1, 0.2))
+@example(kappa=(2.0**30, 0.1, 0.2))
+@given(kappa=st.tuples(wide_components, wide_components, wide_components))
+def test_property_numeric_velocity_agrees_or_is_refused_over_the_float_range(kappa):
+    # the phase is smooth only away from the cone tips at 0 and pi
+    assume(min(min(p, np.pi - p) for p in (phase(kappa), mirror_phase(kappa))) >= 0.2)
+    va = group_velocity_analytic(kappa).as_array()
+    try:
+        vn = group_velocity_numeric(kappa).as_array()
+    except ArgumentOutOfRangeError as exc:
+        assert "is too large for a difference step of 1e-06" in str(exc)
+        assert max(map(abs, kappa)) > 1e6  # the floats near kappa are sparse
+        return
+    assert np.max(np.abs(va - vn)) <= 1e-6 * max(np.max(np.abs(va)), 1e-3)
 
 
 def test_axis_velocity_is_exactly_light_speed():

@@ -1,5 +1,6 @@
 """Lattice states, wave packets, evolution routes, centroid tracking."""
 
+import functools
 import json
 import math
 import os
@@ -750,20 +751,34 @@ def resultants(spreads, n):
     return np.exp(-(2 * np.pi * np.asarray(spreads) / n) ** 2 / 2)
 
 
-def full_lattice_prediction(state):
-    """Forward minus backward weight times branch velocity, summed over
-    every nondegenerate mode of the full lattice."""
-    grids = state.lattice.mode_grids()
+@functools.cache
+def full_lattice_branches(n):
+    """Per branch, over every mode of the n^3 lattice: the forward minus
+    backward projector, the branch velocity and the nondegenerate-mode
+    mask.  They depend on n alone, so each n builds them once, read-only."""
+    grids = Lattice(n).mode_grids()
     projectors = branch_projector_grids(*grids)
-    total = np.zeros(3)
-    for (name, offset, _), sign in zip(BRANCHES, (1.0, -1.0)):
-        a = state.amplitudes[..., offset:offset + 3]
+    branches = []
+    for (name, _, _), sign in zip(BRANCHES, (1.0, -1.0)):
         g = projectors[name]
-        w = np.einsum("...i,...ij,...j->...", a.conj(),
-                      g["forward"] - g["backward"], a).real
         # the mirror velocity at kappa is minus the primary one at -kappa
         v = sign * np.stack(velocity_grid(*(sign * k for k in grids))[:3], -1)
         usable = ~(g["degenerate"] | np.isnan(v).any(axis=-1))
+        arrays = (g["forward"] - g["backward"], v, usable)
+        for array in arrays:
+            array.flags.writeable = False
+        branches.append(arrays)
+    return tuple(branches)
+
+
+def full_lattice_prediction(state):
+    """Forward minus backward weight times branch velocity, summed over
+    every nondegenerate mode of the full lattice."""
+    total = np.zeros(3)
+    for (_, offset, _), (split, v, usable) in zip(
+            BRANCHES, full_lattice_branches(state.lattice.n)):
+        a = state.amplitudes[..., offset:offset + 3]
+        w = np.einsum("...i,...ij,...j->...", a.conj(), split, a).real
         total += np.sum(np.where(usable[..., None], w[..., None] * v, 0.0),
                         axis=(0, 1, 2))
     return total

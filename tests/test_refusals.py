@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonwalk import anisotropy, cli, kernel, lattice
+from bosonwalk import algebra, anisotropy, cli, kernel, lattice
 from bosonwalk.bounds import (
     ExperimentRecord,
     PhysicalConstants,
@@ -85,6 +85,20 @@ REFUSALS = {
         lambda tmp: anisotropy_bound(_resonator(wavelength=1e-6),
                                      PhysicalConstants(), spread_factor=0.0),
         ArgumentOutOfRangeError, "spread_factor must be positive"),
+    **{f"anisotropy bound spread factor of {value!r}": (
+        lambda tmp, value=value: anisotropy_bound(
+            _resonator(wavelength=1e-6), PhysicalConstants(), spread_factor=value),
+        ArgumentOutOfRangeError, f"spread_factor must be finite, got {value!r}")
+       for value in (math.nan, math.inf, "a")},
+    "dispersion bound rms factor": (
+        lambda tmp: dispersion_bound(_grb(sign=1), PhysicalConstants(),
+                                     rms_factor=-1.0),
+        ArgumentOutOfRangeError, "rms_factor must be positive"),
+    **{f"dispersion bound rms factor of {value!r}": (
+        lambda tmp, value=value: dispersion_bound(
+            _grb(sign=1), PhysicalConstants(), rms_factor=value),
+        ArgumentOutOfRangeError, f"rms_factor must be finite, got {value!r}")
+       for value in (math.nan, math.inf, "a")},
     "momentum shape": (
         lambda tmp: kernel.phase([0.1, 0.2]), InvalidArgumentError,
         "expected 3 momentum components, got shape (2,)"),
@@ -144,6 +158,18 @@ REFUSALS = {
     "numeric velocity step given as a string": (
         lambda tmp: kernel.group_velocity_numeric((0.1, 0.2, 0.3), "a"),
         ArgumentOutOfRangeError, "step 'a' outside [1e-8, 1e-2]"),
+    "numeric velocity where k +- step rounds to k": (
+        lambda tmp: kernel.group_velocity_numeric((1e308, 0.1, 0.2)),
+        ArgumentOutOfRangeError,
+        "kappa [1e+308, 0.1, 0.2] is too large for a difference step of 1e-06: "
+        "the floats near it are too far apart"),
+    **{f"{builder.__name__} of axis {axis!r}": (
+        lambda tmp, builder=builder, axis=axis: builder(axis),
+        InvalidArgumentError, f"axis must be 0, 1 or 2, got {axis!r}")
+       for builder, axis in ((algebra.build_spin1_matrix, 5),
+                             (algebra.build_gamma, "x"),
+                             (algebra.build_gamma, True),
+                             (algebra.build_projectors, 1.5))},
     "lattice size of a float": (
         lambda tmp: lattice.Lattice(4.0), InvalidArgumentError,
         "lattice size must be even and >= 4, got 4.0"),
@@ -310,6 +336,27 @@ def _lag(value):
     assert isinstance(value, float) and math.isfinite(value)
 
 
+def _bound(call, factor):
+    # a finite factor may still take the bound past the float range: the
+    # CLI's numerical failure, exit 4
+    try:
+        result = call(factor)
+    except OverflowError as exc:
+        assert math.isfinite(factor) and str(exc) == "record 'r': bound is not finite"
+        return
+    _finite(result.delta_x_upper_bound, result.ratio_to_planck)
+    assert result.delta_x_upper_bound >= 0.0
+
+
+def _hermitian(m, size):
+    assert m.shape == (size, size) and algebra.is_hermitian(m)
+
+
+def _projectors(triple):
+    for p in (triple.plus, triple.zero, triple.minus):
+        assert algebra.is_projector(p)
+
+
 _DIRECTION = anisotropy.Direction(1.0, 1.0)
 _STATE = lattice.random_state(lattice.Lattice(4), np.random.default_rng(2))
 
@@ -367,6 +414,19 @@ CALLS = {
     "bounds.time_lag": lambda d: _lag(time_lag(
         *(d.draw(_choice(1.0, 1e20)) for _ in range(4)),
         n=d.draw(_choice(1, 2)), s=d.draw(_choice(1, -1)))),
+    "bounds.dispersion_bound": lambda d: _bound(
+        lambda f: dispersion_bound(_grb(sign=1), PhysicalConstants(), rms_factor=f),
+        d.draw(numbers)),
+    "bounds.anisotropy_bound": lambda d: _bound(
+        lambda f: anisotropy_bound(_resonator(wavelength=1e-6), PhysicalConstants(),
+                                   spread_factor=f),
+        d.draw(numbers)),
+    "algebra.build_spin1_matrix": lambda d: _hermitian(
+        algebra.build_spin1_matrix(d.draw(_choice(*algebra.Axis))), 3),
+    "algebra.build_gamma": lambda d: _hermitian(
+        algebra.build_gamma(d.draw(_choice(*algebra.Axis))), 6),
+    "algebra.build_projectors": lambda d: _projectors(
+        algebra.build_projectors(d.draw(_choice(*algebra.Axis)))),
 }
 
 
