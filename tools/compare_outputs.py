@@ -77,7 +77,9 @@ def invocations() -> list[tuple[str, ...]]:
             runs.append(("bounds", "--format", fmt, compat))
         for grid in ("16", "64"):
             runs.append(("anisotropy", "--grid", grid, "--format", fmt))
-        runs.append(("surface", "--grid", "17", "--format", fmt))
+        # 2: all zone corners; 48: the benchmark's surface-export grid
+        for grid in ("2", "17", "48"):
+            runs.append(("surface", "--grid", grid, "--format", fmt))
         runs.append(("surface", "--grid", "17", "--format", fmt,
                      "--out", f"surface.{fmt}"))
         for name in _packets():
