@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Union
 
 from . import (
@@ -80,12 +80,9 @@ class ExperimentRecord:
     delta_c_over_c: Optional[float] = None    # anisotropy only
     wavelength: Optional[float] = None        # m, anisotropy only
 
-    def __post_init__(self):
-        self.validate()  # so every record in hand is valid
-
-    def validate(self) -> None:
+    def __post_init__(self):  # so every record in hand is valid
         # NaN passes every ordered comparison below, so test it first
-        for name in ("e_qg_lower_bound", "delta_c_over_c", "wavelength"):
+        for name in _FLOAT_FIELDS:
             if not _finite(getattr(self, name) or 0.0):
                 raise CatalogValidationError(
                     f"record {self.id!r}: {name} must be finite")
@@ -109,6 +106,13 @@ class ExperimentRecord:
             if self.wavelength is not None and self.wavelength <= 0:
                 raise CatalogValidationError(
                     f"record {self.id!r}: wavelength must be positive")
+
+
+# JSON types each field annotation accepts; one missing here fails at import
+_JSON_TYPES = {"str": str, "Optional[int]": int, "Optional[float]": (int, float)}
+_RECORD_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(ExperimentRecord)}
+_REQUIRED_FIELDS = [f.name for f in fields(ExperimentRecord) if f.default is MISSING]
+_FLOAT_FIELDS = [f.name for f in fields(ExperimentRecord) if "float" in f.type]
 
 
 @dataclass(frozen=True)
@@ -263,19 +267,6 @@ def time_lag(distance: float, e_high: float, e_low: float, e_qg: float,
     return lag
 
 
-_RECORD_FIELDS = {
-    "id": str,
-    "kind": str,
-    "source": str,
-    "e_qg_lower_bound": (int, float),
-    "liv_order": int,
-    "sign": int,
-    "delta_c_over_c": (int, float),
-    "wavelength": (int, float),
-}
-_REQUIRED_FIELDS = ("id", "kind", "source")
-
-
 def _parse_record(item, index: int) -> ExperimentRecord:
     where = f"record at index {index}"
     if not isinstance(item, dict):
@@ -292,7 +283,7 @@ def _parse_record(item, index: int) -> ExperimentRecord:
         if isinstance(value, bool) or not isinstance(value, expected):
             raise CatalogParseError(
                 f"{where}: field {key!r} has wrong type {type(value).__name__}")
-        if key in ("e_qg_lower_bound", "delta_c_over_c", "wavelength"):
+        if key in _FLOAT_FIELDS:
             try:
                 value = float(value)
             except OverflowError:

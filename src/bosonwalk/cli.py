@@ -379,14 +379,10 @@ def cmd_verify(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out is not None and args.format == "json":
         import json
-        payload = {
-            "seed": report.seed,
-            "passed": report.passed,
-            "checks": [{"name": c.name, "passed": c.passed, "residual":
-                        c.residual if math.isfinite(c.residual) else None,
-                        "tolerance": c.tolerance, "detail": c.detail}
-                       for c in report.checks],
-        }
+        from dataclasses import asdict, replace
+        payload = {"seed": report.seed, "passed": report.passed, "checks": [
+            asdict(c if math.isfinite(c.residual) else replace(c, residual=None))
+            for c in report.checks]}
         text_json = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         _write_output(args.out, [text_json])
         _stdout().write(text)

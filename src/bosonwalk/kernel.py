@@ -75,9 +75,6 @@ class ReducedMomentum:
     def as_array(self) -> np.ndarray:
         return np.array([self.kx, self.ky, self.kz], dtype=float)
 
-    def norm(self) -> float:
-        return math.sqrt(self.kx**2 + self.ky**2 + self.kz**2)
-
 
 def _wrap_component(v: float) -> float:
     w = math.remainder(v, 2.0 * math.pi)
@@ -121,8 +118,8 @@ def kernel_exponential(kappa) -> np.ndarray:
     return _axis_factor(0, kx) @ _axis_factor(1, ky) @ _axis_factor(2, kz)
 
 
-def _versine_args(kx, ky, kz):
-    """1 - cos of the (primary, mirror) branch angles; broadcasts.
+def _versine_arg(kx, ky, kz, helicity: int = 0):
+    """1 - cos of the angle of branch BRANCHES[helicity]; broadcasts.
 
     The direct cosine sum loses the low bits of small angles to
     cancellation (absolute error ~eps/|kappa| after the arccos), so the
@@ -134,7 +131,7 @@ def _versine_args(kx, ky, kz):
                   for k in (kx, ky, kz))
     odd = np.sin(kx) * np.sin(ky) * np.sin(kz)
     even = wa + wb + wc - 0.5 * (wa * wb + wa * wc + wb * wc)
-    return tuple(even + sign * 0.5 * odd for _, _, sign in BRANCHES)
+    return even + BRANCHES[helicity][2] * 0.5 * odd
 
 
 def _arccos_one_minus(y):
@@ -396,11 +393,11 @@ def phase_expansion_check(kappa) -> float:
 
 def phase_grid(kx, ky, kz) -> np.ndarray:
     """phase(kappa) over broadcast momentum arrays (clamped)."""
-    return _arccos_one_minus(_versine_args(kx, ky, kz)[0])
+    return _arccos_one_minus(_versine_arg(kx, ky, kz))
 
 
 def mirror_phase_grid(kx, ky, kz) -> np.ndarray:
-    return _arccos_one_minus(_versine_args(kx, ky, kz)[1])
+    return _arccos_one_minus(_versine_arg(kx, ky, kz, 1))
 
 
 def velocity_grid(kx, ky, kz):
@@ -414,7 +411,7 @@ def velocity_grid(kx, ky, kz):
     sx, sy, sz = np.sin(kx), np.sin(ky), np.sin(kz)
     # 2 sin(phase) in versine form; the equivalent 4 - arg^2 cancels badly
     # near the cone tip
-    y, _ = _versine_args(kx, ky, kz)
+    y = _versine_arg(kx, ky, kz)
     den_sq = 4.0 * y * (2.0 - y)
     degenerate = den_sq < DEGENERACY_MARGIN**2
     den = np.sqrt(np.where(degenerate, 1.0, den_sq))

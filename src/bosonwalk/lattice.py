@@ -514,16 +514,16 @@ def project_to_branch(state: LatticeState, helicity: int = 0) -> LatticeState:
     Modes with a degenerate spectrum are dropped (they carry no defined
     forward eigenvector).
     """
-    offset = BRANCHES[_helicity(helicity)][1]
+    branch = BRANCHES[_helicity(helicity)]
+    block = slice(branch[1], branch[1] + 3)
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
+    [(_, _, degenerate, _, perpendicular, turned)] = _rotation_parts(
+        state.lattice.mode_grids(), {branch: work.amplitudes[..., block].copy()})
     amp = np.zeros_like(work.amplitudes)
-    amp[..., offset:offset + 3] = work.amplitudes[..., offset:offset + 3]
-    for (_, offset, _), _, degenerate, _, perpendicular, turned in _rotation_parts(
-            state.lattice.mode_grids(), _occupied_blocks(amp)):
-        # forward projector (a - n (n.a) + i n x a) / 2
-        amp[..., offset:offset + 3] = np.where(
-            degenerate[..., None], 0.0, 0.5 * (perpendicular + 1j * turned))
+    # forward projector (a - n (n.a) + i n x a) / 2
+    amp[..., block] = np.where(
+        degenerate[..., None], 0.0, 0.5 * (perpendicular + 1j * turned))
     nrm = np.sqrt(np.sum(np.abs(amp) ** 2))
     if nrm == 0.0:
         raise PacketSpecError("state has no overlap with the forward eigenspace")

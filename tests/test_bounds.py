@@ -249,7 +249,7 @@ def test_bundled_catalog_loads_and_validates():
     kinds = {r.kind for r in records}
     assert kinds == {"dispersion", "anisotropy"}
     for r in records:
-        r.validate()
+        assert replace(r) == r  # rebuilding runs the record's validation
         assert r.source
 
 
