@@ -3,12 +3,7 @@
 import numpy as np
 
 from bosonwalk.kernel import group_velocity_analytic
-from bosonwalk.lattice import (
-    Lattice,
-    WavePacketSpec,
-    measure_group_velocity,
-    predicted_packet_velocity,
-)
+from bosonwalk.lattice import Lattice, WavePacketSpec, measure_group_velocity
 
 np.set_printoptions(precision=5, suppress=True)
 
@@ -28,7 +23,7 @@ for t, pos, spr, nrm in zip(traj.steps, traj.positions, traj.spreads,
     print(f"  {t:4d}   {pos[0]:12.6f}   {spr[0]:9.5f}   {nrm - 1:+.2e}")
 
 v_fit = result.velocity.as_array()
-v_pred = predicted_packet_velocity(lat, spec)
+v_pred = result.predicted
 v_ana = group_velocity_analytic(spec.k0).as_array()
 print(f"  fitted velocity       {v_fit}")
 print(f"  mode-weighted speed   {v_pred}")
@@ -43,7 +38,7 @@ wide = WavePacketSpec("gaussian", k_diag, (32, 32, 32), width=np.pi / 16)
 result = measure_group_velocity(lat, wide, steps=8)
 
 v_fit = result.velocity.as_array()
-v_pred = predicted_packet_velocity(lat, wide)
+v_pred = result.predicted
 v_ana = group_velocity_analytic(k_diag).as_array()
 print("\ngaussian packet on the body diagonal, sigma = pi/16, 8 steps")
 print(f"  measured centroid velocity   {v_fit}")

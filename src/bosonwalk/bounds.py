@@ -210,6 +210,9 @@ def anisotropy_bound(record: ExperimentRecord, constants: PhysicalConstants,
     scale = record.delta_c_over_c * record.wavelength / (2.0 * math.pi)
     compat = scale * spread_factor
     first_principles = scale / spread_factor
+    # refused whichever reading is primary, so paper_compat never decides it
+    if not math.isfinite(max(compat, first_principles) / constants.planck_length):
+        raise OverflowError(f"record {record.id!r}: bound is not finite")
     dx, alt = (compat, first_principles) if paper_compat else (first_principles, compat)
     note = None
     if abs(dx - alt) > 0.01 * max(dx, alt):

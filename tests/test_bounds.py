@@ -18,6 +18,7 @@ from bosonwalk.bounds import (
     ExperimentRecord,
     PhysicalConstants,
     UnsupportedEntry,
+    _parse_record,
     anisotropy_bound,
     bundled_catalog_path,
     dispersion_bound,
@@ -163,6 +164,19 @@ def test_resonator_bound_vanishes_with_constraint():
         res = anisotropy_bound(rec, PhysicalConstants())
         assert np.isclose(res.delta_x_upper_bound,
                           dc * SPREAD_MAX * 1e-6 / (2 * math.pi), rtol=1e-12)
+
+
+@pytest.mark.parametrize("paper_compat", [True, False])
+@pytest.mark.parametrize("spread_factor", [5e-324, 1e300])
+def test_resonator_bound_refuses_either_reading_past_the_float_range(
+        spread_factor, paper_compat):
+    # one reading underflows to 0 m while the other's ratio to the Planck
+    # length overflows: refused whichever of the two is primary
+    record, = (r for r in load_experiments(bundled_catalog_path())
+               if r.id == "resonator-infrared")
+    with pytest.raises(OverflowError, match="^record 'resonator-infrared': "
+                                            "bound is not finite$"):
+        anisotropy_bound(record, PhysicalConstants(), spread_factor, paper_compat)
 
 
 def test_resonator_bound_requires_wavelength():
@@ -333,6 +347,21 @@ def test_load_rejects_unknown_field(tmp_path):
         "flavor": "strange"}])
     with pytest.raises(CatalogParseError, match="flavor"):
         load_experiments(path)
+
+
+def test_bundled_records_parse_back_from_their_fields():
+    # the schema is the dataclass's fields: every field a record sets is
+    # accepted under its own name and type, and the unset ones may be left out
+    for index, record in enumerate(load_experiments(bundled_catalog_path())):
+        item = {k: v for k, v in asdict(record).items() if v is not None}
+        assert _parse_record(item, index) == record
+
+
+def test_a_field_the_record_lacks_is_refused_by_name():
+    item = {"id": "x", "kind": "dispersion", "source": "t", "flavor": "strange"}
+    with pytest.raises(CatalogParseError,
+                       match="^record at index 3: unknown field 'flavor'$"):
+        _parse_record(item, 3)
 
 
 def test_load_rejects_missing_required_field(tmp_path):

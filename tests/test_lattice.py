@@ -727,7 +727,8 @@ def test_gaussian_packet_split_holds_one_block():
 def full_lattice_trajectory(lat, spec, sample_steps, packet=None):
     """Positions, spreads and norms of the full-lattice packet (`packet`
     when given, else make_wavepacket), evolved by evolve_spectral and read
-    from its position-space site marginals."""
+    from its position-space site marginals: each axis's circular mean and
+    spread from one phasor sum z."""
     n = lat.n
     packet = make_wavepacket(lat, spec) if packet is None else packet
     phasor = np.exp(2j * np.pi * np.arange(n) / n)
@@ -737,7 +738,7 @@ def full_lattice_trajectory(lat, spec, sample_steps, packet=None):
         p = np.sum(np.abs(state.amplitudes) ** 2, axis=-1)
         z = np.array([np.sum(p.sum(axis=tuple({0, 1, 2} - {a})) * phasor)
                       for a in range(3)]) / p.sum()
-        positions.append(centroid(state))
+        positions.append(np.angle(z) * n / (2 * np.pi) % n)
         spreads.append(n / (2 * np.pi) * np.sqrt(-2 * np.log(np.abs(z))))
         norms.append(np.sqrt(p.sum()))
     return np.array(positions), np.array(spreads), np.array(norms)
