@@ -345,7 +345,8 @@ def test_load_rejects_unknown_field(tmp_path):
         "id": "x", "kind": "dispersion", "source": "t",
         "e_qg_lower_bound": 1e20, "liv_order": 1, "sign": 1,
         "flavor": "strange"}])
-    with pytest.raises(CatalogParseError, match="flavor"):
+    with pytest.raises(CatalogParseError,
+                       match="^record at index 0: unknown field 'flavor'$"):
         load_experiments(path)
 
 
@@ -355,13 +356,6 @@ def test_bundled_records_parse_back_from_their_fields():
     for index, record in enumerate(load_experiments(bundled_catalog_path())):
         item = {k: v for k, v in asdict(record).items() if v is not None}
         assert _parse_record(item, index) == record
-
-
-def test_a_field_the_record_lacks_is_refused_by_name():
-    item = {"id": "x", "kind": "dispersion", "source": "t", "flavor": "strange"}
-    with pytest.raises(CatalogParseError,
-                       match="^record at index 3: unknown field 'flavor'$"):
-        _parse_record(item, 3)
 
 
 def test_load_rejects_missing_required_field(tmp_path):
