@@ -518,9 +518,10 @@ def project_to_branch(state: LatticeState, helicity: int = 0) -> LatticeState:
     block = slice(branch[1], branch[1] + 3)
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
-    [(_, _, degenerate, _, perpendicular, turned)] = _rotation_parts(
-        state.lattice.mode_grids(), {branch: work.amplitudes[..., block].copy()})
     amp = np.zeros_like(work.amplitudes)
+    amp[..., block] = work.amplitudes[..., block]
+    [(_, _, degenerate, _, perpendicular, turned)] = _rotation_parts(
+        state.lattice.mode_grids(), {branch: amp[..., block]})
     # forward projector (a - n (n.a) + i n x a) / 2
     amp[..., block] = np.where(
         degenerate[..., None], 0.0, 0.5 * (perpendicular + 1j * turned))
