@@ -66,6 +66,18 @@ def _packets() -> dict[str, dict]:
     return packets
 
 
+# a second catalog: a linear record whose bound is a JSON integer, a
+# quadratic record, a resonator whose two readings differ, a comma in an id
+CATALOG = [
+    {"id": "linear, integer bound", "kind": "dispersion", "source": "test",
+     "e_qg_lower_bound": 10**19, "liv_order": 1, "sign": -1},
+    {"id": "quadratic", "kind": "dispersion", "source": "test",
+     "e_qg_lower_bound": 3.5e11, "liv_order": 2, "sign": 1},
+    {"id": "resonator", "kind": "anisotropy", "source": "test",
+     "delta_c_over_c": 2.5e-17, "wavelength": 1.55e-6},
+]
+
+
 def invocations() -> list[tuple[str, ...]]:
     runs = [("--version",)]
     for seed in range(10):
@@ -75,6 +87,8 @@ def invocations() -> list[tuple[str, ...]]:
     for fmt in ("csv", "json"):
         for compat in ("--paper-compat", "--no-paper-compat"):
             runs.append(("bounds", "--format", fmt, compat))
+            runs.append(("bounds", "--experiments", "catalog.json",
+                         "--format", fmt, compat))
         for grid in ("16", "64"):
             runs.append(("anisotropy", "--grid", grid, "--format", fmt))
         # 2: all zone corners; 48: the benchmark's surface-export grid
@@ -91,6 +105,7 @@ def _work_directory(path: Path) -> Path:
     path.mkdir(exist_ok=True)
     for name, packet in _packets().items():
         (path / f"{name}.json").write_text(json.dumps(packet))
+    (path / "catalog.json").write_text(json.dumps(CATALOG))
     return path
 
 
@@ -106,7 +121,8 @@ def _take_out(argv: tuple[str, ...], work: Path):
 
 def run_in_process(work: str) -> dict:
     """Every invocation through `bosonwalk.cli.main` in this interpreter,
-    from the directory `work` that holds the packet files: the manifest."""
+    from the directory `work` that holds the packet and catalog files: the
+    manifest."""
     from bosonwalk import cli  # before numpy, so that it pins BLAS
     os.chdir(work)
     records = []
