@@ -349,18 +349,17 @@ def run_catalog(records, constants: PhysicalConstants,
     numeric = []
     annotated = []
     for record in records:
-        if record.kind == DISPERSION and record.liv_order == 2:
+        try:
+            numeric.append(dispersion_bound(
+                record, constants, NORMALIZATIONS[normalization], normalization)
+                if record.kind == DISPERSION else
+                anisotropy_bound(record, constants, paper_compat=paper_compat))
+        except UnsupportedOrderError:
             annotated.append(UnsupportedEntry(
                 experiment_id=record.id,
                 note=("unsupported by model: leading speed correction is "
                       "linear, quadratic-order constraints do not apply"),
                 inputs_echo=_echo(record, constants),
             ))
-        elif record.kind == DISPERSION:
-            numeric.append(dispersion_bound(
-                record, constants, NORMALIZATIONS[normalization], normalization))
-        else:
-            numeric.append(anisotropy_bound(record, constants,
-                                            paper_compat=paper_compat))
     numeric.sort(key=lambda r: r.delta_x_upper_bound)
     return numeric + annotated

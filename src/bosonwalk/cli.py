@@ -53,8 +53,12 @@ PACKET_FIELDS = ("kind", "n", "k0", "x0", "width", "helicity",
                  "steps", "sample_every")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+_fmt = "{:.17g}".format  # a CSV number
+
+
+def _json_text(value) -> str:
+    import json
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
 
 
 def _version_text() -> str:
@@ -143,7 +147,7 @@ def _surface_chunks(m: int, fmt: str):
     values = ("phase", "vx", "vy", "vz", "speed")
     if fmt == "csv":
         keys = ("kx", "ky", "kz", *values, "degenerate")
-        number, blank, flags = "{:.17g}".format, "", ["0", "1"]
+        number, blank, flags = _fmt, "", ["0", "1"]
         head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
         row = ",".join(["%s"] * len(keys))
     else:  # the text of json.dumps(rows, indent=2): floats as float.__repr__
@@ -280,7 +284,6 @@ def cmd_propagate(args) -> int:
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     else:
-        import json
         k0 = lattice.snap_to_grid(spec.k0, lat.n)
         analytic = kernel.group_velocity_analytic(k0.as_array())
         summary = {
@@ -298,7 +301,7 @@ def cmd_propagate(args) -> int:
                 measured.trajectory.norms - 1.0))),
             "final_spread": list(measured.trajectory.spreads[-1]),
         }
-        text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+        text = _json_text(summary)
     _write_output(args.out, [text])
     return EXIT_OK
 
@@ -317,10 +320,8 @@ def cmd_anisotropy(args) -> int:
                   for t, p, v in zip(theta, phi, s)]
         text = "\n".join(lines) + "\n"
     else:
-        import json
         from dataclasses import asdict
-        text = json.dumps(asdict(sphere_stats(m, m)), indent=2,
-                          allow_nan=False) + "\n"
+        text = _json_text(asdict(sphere_stats(m, m)))
     _write_output(args.out, [text])
     return EXIT_OK
 
@@ -349,10 +350,8 @@ def cmd_bounds(args) -> int:
                              *bound])
         text = buffer.getvalue()
     else:
-        import json
         from dataclasses import asdict
-        text = json.dumps([asdict(e) for e in entries], indent=2,
-                          allow_nan=False) + "\n"
+        text = _json_text([asdict(e) for e in entries])
     _write_output(args.out, [text])
     return EXIT_OK
 
@@ -378,13 +377,11 @@ def cmd_verify(args) -> int:
         lines.append("failing: " + ", ".join(c.name for c in report.failures))
     text = "\n".join(lines) + "\n"
     if args.out is not None and args.format == "json":
-        import json
         from dataclasses import asdict, replace
         payload = {"seed": report.seed, "passed": report.passed, "checks": [
             asdict(c if math.isfinite(c.residual) else replace(c, residual=None))
             for c in report.checks]}
-        text_json = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        _write_output(args.out, [text_json])
+        _write_output(args.out, [_json_text(payload)])
         _stdout().write(text)
     else:
         _write_output(args.out, [text])

@@ -289,7 +289,7 @@ def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     """
     (name, offset, _), k = _branch(helicity_index), _components(kappa)
     _nondegenerate_phases(kappa, rotation_grids(*k, (name,)))
-    return np.pad(forward_vector_grids(*k, helicity_index)[0], (offset, 3 - offset))
+    return np.pad(forward_vector_grids(*k, helicity_index), (offset, 3 - offset))
 
 
 @dataclass(frozen=True)
@@ -444,34 +444,29 @@ def branch_projector_grids(kx, ky, kz):
     (...,), 'forward'/'axis'/'backward' (..., 3, 3) acting inside the
     branch's own block, and 'degenerate' (...,) flagging modes where the
     branch angle is within the margin of 0 or pi (projectors NaN there).
-    From `rotation_grids`: n n^T and (I - n n^T +/- i [n]x) / 2.
+    From `rotation_grids`: n n^T, the forward (I - n n^T + i [n]x) / 2 and
+    the backward projector, its complex conjugate.
     """
     out = {}
     for name, rotation in rotation_grids(kx, ky, kz).items():
         n = rotation["axis"]
         axial = n[..., :, None] * n[..., None, :]
         turn = np.swapaxes(np.cross(n[..., None, :], np.eye(3)), -1, -2)
-        nan_mask = rotation["degenerate"][..., None, None]
-        out[name] = {
-            "phase": rotation["phase"],
-            "forward": np.where(nan_mask, np.nan,
-                                0.5 * (np.eye(3) - axial + 1j * turn)),
-            "axis": np.where(nan_mask, np.nan, axial),
-            "backward": np.where(nan_mask, np.nan,
-                                 0.5 * (np.eye(3) - axial - 1j * turn)),
-            "degenerate": rotation["degenerate"],
-        }
+        forward, axial = (np.where(rotation["degenerate"][..., None, None], np.nan, p)
+                          for p in (0.5 * (np.eye(3) - axial + 1j * turn), axial))
+        out[name] = {"phase": rotation["phase"], "forward": forward, "axis": axial,
+                     "backward": forward.conj(), "degenerate": rotation["degenerate"]}
     return out
 
 
 def forward_vector_grids(kx, ky, kz, helicity_index: int = 0):
     """Forward eigenvectors of one branch over broadcast momenta.
 
-    Returns (vectors (..., 3), degenerate (...,)), each vector inside the
-    branch's own block and zero where degenerate: the forward projector
-    applied to the block basis vector least aligned with the axis,
-    normalized, with the first component over 1e-9 in modulus made real
-    positive.
+    Returns vectors (..., 3), each inside the branch's own block and zero
+    where `rotation_grids` flags the branch degenerate: the forward
+    projector applied to the block basis vector least aligned with the
+    axis, normalized, with the first component over 1e-9 in modulus made
+    real positive.
     """
     name = _branch(helicity_index)[0]
     rotation = rotation_grids(kx, ky, kz, (name,))[name]
@@ -482,7 +477,7 @@ def forward_vector_grids(kx, ky, kz, helicity_index: int = 0):
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     lead = np.take_along_axis(
         v, np.argmax(np.abs(v) > 1e-9, axis=-1)[..., None], axis=-1)
-    return np.where(bad[..., None], 0.0, v * (np.conj(lead) / np.abs(lead))), bad
+    return np.where(bad[..., None], 0.0, v * (np.conj(lead) / np.abs(lead)))
 
 
 def rotation_grids(kx, ky, kz, names=("primary", "mirror")):

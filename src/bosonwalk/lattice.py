@@ -274,7 +274,7 @@ def _packet_window(lattice: Lattice, spec: WavePacketSpec):
             f"x0 {x0.tolist()} is too large: its plane-wave phase overflows")
     offset = BRANCHES[spec.helicity][1]
     # with per_mode_internal, modes with no forward eigenvector get zero
-    u = (forward_vector_grids(*grids, spec.helicity)[0] if spec.per_mode_internal
+    u = (forward_vector_grids(*grids, spec.helicity) if spec.per_mode_internal
          else positive_energy_vector(k0, spec.helicity)[offset:offset + 3])
     block = (weights * plane)[..., None] * u
     # with the other block's zeros in place: a block-only sum rounds differently

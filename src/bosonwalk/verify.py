@@ -154,7 +154,7 @@ def _check_kernel(results, rng):
     u = kernel.kernel_grid(*k.T)
     res = 0.0
     for (helicity, phi), (_, o, _) in zip(enumerate(_phases(k)), kernel.BRANCHES):
-        block = kernel.forward_vector_grids(*k.T, helicity)[0]
+        block = kernel.forward_vector_grids(*k.T, helicity)
         vec = np.pad(block, ((0, 0), (o, 3 - o)))  # the block in its place
         moved = (u @ vec[..., None])[..., 0] - np.exp(-1j * phi)[:, None] * vec
         res = max(res, np.max(np.abs(moved)),

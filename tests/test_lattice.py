@@ -883,7 +883,7 @@ def uncut_gaussian(lat, spec):
              for g, c in zip(grids, k0.as_array()))
     plane = np.exp(-1j * sum(g * x for g, x in zip(grids, spec.x0)))
     offset = BRANCHES[spec.helicity][1]
-    u = (np.pad(forward_vector_grids(*grids, spec.helicity)[0],
+    u = (np.pad(forward_vector_grids(*grids, spec.helicity),
                 [(0, 0)] * 3 + [(offset, 3 - offset)]) if spec.per_mode_internal
          else positive_energy_vector(k0, spec.helicity))
     amp = (np.exp(-d2 / (4.0 * spec.width**2)) * plane)[..., None] * u
