@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Union
 
@@ -115,9 +116,20 @@ _REQUIRED_FIELDS = [f.name for f in fields(ExperimentRecord) if f.default is MIS
 _FLOAT_FIELDS = [f.name for f in fields(ExperimentRecord) if "float" in f.type]
 
 
+def _check_range(record_id: str, *values: float) -> None:
+    """Refuse bound figures past the float range or below its normal range,
+    where a subnormal keeps too few bits to print as if exact."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"record {record_id!r}: bound is not finite")
+    if min(values) < sys.float_info.min:
+        raise OverflowError(
+            f"record {record_id!r}: bound is below the normal float range")
+
+
 @dataclass(frozen=True)
 class BoundResult:
-    """A numeric lattice-spacing bound with full input provenance."""
+    """A numeric lattice-spacing bound with full input provenance; every
+    figure is a finite normal float."""
 
     experiment_id: str
     delta_x_upper_bound: float  # m
@@ -128,9 +140,9 @@ class BoundResult:
     inputs_echo: dict = field(kw_only=True)  # last, as the json output shows it
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.delta_x_upper_bound, self.ratio_to_planck,
-                                       self.alternate_delta_x_upper_bound or 0.0))):
-            raise OverflowError(f"record {self.experiment_id!r}: bound is not finite")
+        alt = self.alternate_delta_x_upper_bound
+        _check_range(self.experiment_id, self.delta_x_upper_bound,
+                     self.ratio_to_planck, *(() if alt is None else (alt,)))
 
 
 @dataclass(frozen=True)
@@ -211,8 +223,9 @@ def anisotropy_bound(record: ExperimentRecord, constants: PhysicalConstants,
     compat = scale * spread_factor
     first_principles = scale / spread_factor
     # refused whichever reading is primary, so paper_compat never decides it
-    if not math.isfinite(max(compat, first_principles) / constants.planck_length):
-        raise OverflowError(f"record {record.id!r}: bound is not finite")
+    readings = (compat, first_principles)
+    _check_range(record.id, *readings,
+                 *(r / constants.planck_length for r in readings))
     dx, alt = (compat, first_principles) if paper_compat else (first_principles, compat)
     note = None
     if abs(dx - alt) > 0.01 * max(dx, alt):

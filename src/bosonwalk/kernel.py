@@ -362,12 +362,18 @@ def speed_deviation_series(kappa) -> float:
     diagonals at -|kappa|/(3 sqrt(3)).  Taken in the reduced zone only.
     """
     k = _components(kappa)
-    if np.abs(k).max() > math.pi:
+    big = np.abs(k).max()
+    if big > math.pi:
         raise SeriesOutOfRangeError(f"kappa {k.tolist()} outside the reduced zone")
-    norm_sq = float(k @ k)
-    if norm_sq == 0.0:
+    if big == 0.0:
         raise ZeroMomentumError("speed deviation series undefined at kappa = 0")
-    return float(-(k[0] * k[1] * k[2]) / norm_sq)
+    # the term has degree 1, so it is taken at kappa 2^e, whose largest
+    # component lies in [2, 4): there neither kx ky kz nor |kappa|^2 leaves the
+    # normal range unless the term does, and an exact power of two keeps the
+    # bits of the unscaled form wherever that stays in the normal range
+    e = 2 - math.frexp(big)[1]
+    k = np.ldexp(k, e)
+    return math.ldexp(float(-(k[0] * k[1] * k[2]) / float(k @ k)), -e)
 
 
 def phase_expansion_check(kappa) -> float:

@@ -179,6 +179,30 @@ def test_resonator_bound_refuses_either_reading_past_the_float_range(
         anisotropy_bound(record, PhysicalConstants(), spread_factor, paper_compat)
 
 
+BELOW_NORMAL = "bound is below the normal float range$"
+
+
+def test_dispersion_bound_refuses_a_subnormal_bound():
+    # hbar c / (r 1e308 GeV) printed as 4.94e-324 m, one significant bit
+    record = replace(GRB_SUB, e_qg_lower_bound=1e308)
+    with pytest.raises(OverflowError, match="^record 'grb-sub': " + BELOW_NORMAL):
+        dispersion_bound(record, PhysicalConstants())
+
+
+@pytest.mark.parametrize("paper_compat", [True, False])
+@pytest.mark.parametrize("delta_c_over_c, wavelength", [
+    (1e-200, 1e-200),  # both readings round to 0 m
+    # only the multiplying reading is subnormal: 1.2e-308 m against 7.8e-308 m
+    (1e-150, 2.0 * math.pi * 3e-158),
+])
+def test_resonator_bound_refuses_either_reading_below_the_normal_range(
+        delta_c_over_c, wavelength, paper_compat):
+    record = replace(RESONATOR, delta_c_over_c=delta_c_over_c,
+                     wavelength=wavelength)
+    with pytest.raises(OverflowError, match="^record 'resonator': " + BELOW_NORMAL):
+        anisotropy_bound(record, PhysicalConstants(), paper_compat=paper_compat)
+
+
 def test_resonator_bound_requires_wavelength():
     rec = ExperimentRecord(id="nolambda", kind="anisotropy", source="t",
                            delta_c_over_c=1e-18)

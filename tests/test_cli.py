@@ -615,6 +615,26 @@ def test_bounds_overflowing_to_infinity_is_numerical_error(tmp_path, capsys,
     assert record["id"] in err[0] and "not finite" in err[0]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("record", [
+    {"id": "far", "kind": "dispersion", "source": "t",
+     "e_qg_lower_bound": 1e308, "liv_order": 1, "sign": 1},
+    {"id": "tiny", "kind": "anisotropy", "source": "t",
+     "delta_c_over_c": 1e-200, "wavelength": 1e-200},
+])
+def test_bounds_below_the_normal_range_is_numerical_error(tmp_path, capsys,
+                                                          record, fmt):
+    # a subnormal bound printed as 4.94e-324 m and a vanishing one as 0 m,
+    # both with exit 0
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]))
+    assert run_cli("bounds", "--experiments", str(path), "--format", fmt) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"bosonwalk: numerical failure: record {record['id']!r}: "
+                            "bound is below the normal float range\n")
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_passes_and_reports_enough_checks(capsys):

@@ -1,6 +1,7 @@
 """Momentum-space step operator: spectrum, projectors, velocities, series."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bosonwalk.kernel import (
     ReducedMomentum,
     branch_decomposition,
     branch_projector_grids,
+    forward_vector_grids,
     group_velocity_analytic,
     group_velocity_numeric,
     kernel_closed_form,
@@ -413,6 +415,32 @@ def test_speed_deviation_series_accuracy():
         assert abs(measured - predicted) <= 5 * mag**2
 
 
+# a component of either sign whose magnitude is log-uniform over the floats
+# below pi, subnormals included, or exactly zero
+tiny_components = st.one_of(st.just(0.0), st.builds(
+    lambda sign, exponent: sign * 2.0**exponent, st.sampled_from((1.0, -1.0)),
+    st.floats(-1074.0, math.log2(math.pi), exclude_max=True)))
+
+
+@settings(max_examples=300, deadline=None)
+# kx ky kz or |kappa|^2 left the normal range: ZeroMomentumError, -0.0, 0.0
+@example(kappa=(1e-200,) * 3)
+@example(kappa=(1e-160,) * 3)
+@example(kappa=(1e-160, 2e-160, -3e-160))
+@given(kappa=st.tuples(tiny_components, tiny_components, tiny_components))
+def test_property_speed_deviation_series_matches_an_exact_oracle(kappa):
+    # -kx ky kz / |kappa|^2 in rationals, to 4 ulp (of 2^-1074 below the
+    # normal range); only kappa = 0 is refused
+    if not any(kappa):
+        with pytest.raises(ZeroMomentumError):
+            speed_deviation_series(kappa)
+        return
+    value = speed_deviation_series(kappa)
+    kx, ky, kz = map(Fraction, kappa)
+    exact = -(kx * ky * kz) / (kx * kx + ky * ky + kz * kz)
+    assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+
 def test_series_domain_errors():
     with pytest.raises(ZeroMomentumError):
         speed_deviation_series(ReducedMomentum.wrap(0.0, 0.0, 0.0))
@@ -460,6 +488,32 @@ def test_branch_projector_grids_match_scalar():
                 for key in ("forward", "axis", "backward"):
                     np.testing.assert_allclose(g[key][i, j],
                                                getattr(branch, key), atol=1e-11)
+
+
+@pytest.mark.parametrize("grids", [
+    Lattice(16).mode_grids(),  # 168 flagged modes per branch
+    tuple(np.random.default_rng(29).uniform(-np.pi, np.pi, (3, 500))),
+], ids=["lattice-16", "random"])
+@pytest.mark.parametrize("helicity", [0, 1])
+def test_forward_vector_grids_are_the_branch_forward_eigenvectors(grids, helicity):
+    # zero where rotation_grids flags the branch; elsewhere a unit
+    # eigenvector of its kernel block with eigenvalue exp(-i phase), whose
+    # first component over 1e-9 in modulus is positive, real to rounding
+    name, offset, _ = BRANCHES[helicity]
+    rotation = rotation_grids(*grids, (name,))[name]
+    vectors = forward_vector_grids(*grids, helicity)
+    shape = np.broadcast_shapes(*(np.shape(g) for g in grids))
+    assert vectors.shape == shape + (3,)
+    flagged = rotation["degenerate"]
+    assert np.all(vectors[flagged] == 0.0)
+    v = vectors[~flagged]
+    block = kernel_grid(*grids)[..., offset:offset + 3, offset:offset + 3][~flagged]
+    lam = np.exp(-1j * rotation["phase"][~flagged])[:, None]
+    assert np.max(np.abs((block @ v[..., None])[..., 0] - lam * v)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0)) <= 1e-12
+    lead = v[np.arange(len(v)), np.argmax(np.abs(v) > 1e-9, axis=-1)]
+    assert np.all(lead.real > 0.0)
+    assert np.all(np.abs(lead.imag) <= 4 * np.finfo(float).eps)
 
 
 def test_rotation_grids_flag_angles_of_exactly_pi():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -337,15 +338,17 @@ def _lag(value):
 
 
 def _bound(call, factor):
-    # a finite factor may still take the bound past the float range: the
-    # CLI's numerical failure, exit 4
+    # a finite factor may still take the bound past the float range or below
+    # its normal range: the CLI's numerical failure, exit 4
     try:
         result = call(factor)
     except OverflowError as exc:
-        assert math.isfinite(factor) and str(exc) == "record 'r': bound is not finite"
+        assert math.isfinite(factor) and str(exc) in (
+            "record 'r': bound is not finite",
+            "record 'r': bound is below the normal float range")
         return
     _finite(result.delta_x_upper_bound, result.ratio_to_planck)
-    assert result.delta_x_upper_bound >= 0.0
+    assert min(result.delta_x_upper_bound, result.ratio_to_planck) >= sys.float_info.min
 
 
 def _hermitian(m, size):
