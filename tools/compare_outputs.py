@@ -91,8 +91,9 @@ def invocations() -> list[tuple[str, ...]]:
                          "--format", fmt, compat))
         for grid in ("16", "64"):
             runs.append(("anisotropy", "--grid", grid, "--format", fmt))
-        # 2: all zone corners; 48: the benchmark's surface-export grid
-        for grid in ("2", "17", "48"):
+        # 2: all zone corners; 7: odd, with signed zeros and degenerate
+        # rows; 48: the benchmark's surface-export grid; 64: the user-facing
+        for grid in ("2", "7", "17", "48", "64"):
             runs.append(("surface", "--grid", grid, "--format", fmt))
         runs.append(("surface", "--grid", "17", "--format", fmt,
                      "--out", f"surface.{fmt}"))
