@@ -53,7 +53,8 @@ PACKET_FIELDS = ("kind", "n", "k0", "x0", "width", "helicity",
                  "steps", "sample_every")
 
 
-_fmt = "{:.17g}".format  # a CSV number
+_NUMBER = "{:.17g}"  # a CSV number
+_fmt = _NUMBER.format
 
 
 def _json_text(value) -> str:
@@ -139,30 +140,36 @@ def _surface_chunks(m: int, fmt: str):
     """The surface text in chunks: the head, then the rows of each kx slab.
 
     Each distinct float is formatted once, the phase and velocity values
-    told apart by bit pattern so that 0.0 and -0.0 keep their own text;
-    every cell is an index into those strings.
+    told apart by bit pattern so that 0.0 and -0.0 keep their own text; a
+    negative value whose magnitude also occurs is "-" and that text.  Each
+    row is joined from pieces that carry the text between its cells: the kx
+    text, one string per (ky, kz) pair, the five values and the flag, and in
+    json the keys of vy, vz and speed and the row end.
     """
     import numpy as np
     from . import kernel
     values = ("phase", "vx", "vy", "vz", "speed")
-    if fmt == "csv":
-        keys = ("kx", "ky", "kz", *values, "degenerate")
-        number, blank, flags = _fmt, "", ["0", "1"]
-        head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
-        row = ",".join(["%s"] * len(keys))
+    # a row's pieces: the kx and (ky, kz) pieces, 0-4 the values, 5 the flag
+    if fmt == "csv":  # the values carry their comma, the flag its newline
+        number, blank, flags = (_NUMBER + ",").format, ",", ["0\n", "1\n"]
+        head = ",".join(("kx", "ky", "kz", *values, "degenerate")) + "\n"
+        slab, pair, last = "{}".format, "{}{}".format, None
+        row = [None, None, 0, 1, 2, 3, 4, 5]
     else:  # the text of json.dumps(rows, indent=2): floats as float.__repr__
-        keys = ("kx", "ky", "kz", "phase", "degenerate", "vx", "vy", "vz",
-                "speed")
-        number, blank, flags = float.__repr__, "null", ["false", "true"]
-        head, sep, tail = "[\n", ",\n", "\n]\n"
-        row = "  {\n" + ",\n".join(f'    "{k}": %s' for k in keys) + "\n  }"
+        number, blank, head, last = float.__repr__, "null", "[\n", "\n  }\n]\n"
+        flags = [f',\n    "degenerate": {f},\n    "vx": ' for f in ("false", "true")]
+        slab = '  {{\n    "kx": {},\n    "ky": '.format
+        pair = '{},\n    "kz": {},\n    "phase": '.format
+        row = [None, None, 0, 5, 1, ',\n    "vy": ', 2, ',\n    "vz": ', 3,
+               ',\n    "speed": ', 4, "\n  },\n"]
 
     table = kernel.surface_table(m)
-    axis, degenerate = table["kz"][:m].copy(), table["degenerate"].reshape(m, -1)
+    axis = list(map(number, table["kz"][:m].tolist()))
+    degenerate = table["degenerate"].reshape(m, -1)
     bits = np.stack([table[k] for k in values]).view(np.int64).ravel()
     del table
     # the distinct bit patterns in sorted order, and each cell's int32 index
-    # into the strings below (5 m^3 + m + 3 < 2^31 up to m = 512); the sort's
+    # into the strings below (5 m^3 + 1 < 2^31 up to m = 512); the sort's
     # copies go before the strings are made, which hold most of the peak of
     # 121 traced bytes per point at m = 48
     order = np.argsort(bits)
@@ -171,33 +178,39 @@ def _surface_chunks(m: int, fmt: str):
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     distinct = ordered[first]
     del ordered
-    ranks = np.cumsum(first, dtype=np.int32) + (m - 1)
+    ranks = np.cumsum(first, dtype=np.int32)  # from 1: the blank is string 0
     inverse = np.empty((len(values), m, m * m), dtype=np.int32)  # kx slabs
     inverse.ravel()[order] = ranks
     del order, first, ranks
-    # strings: the axis values, the distinct values, the blank, the flags,
-    # formatted in chunks so that no list of every value is held beside them
-    numbers = np.concatenate([axis, distinct.view(np.float64)])
-    del distinct
-    strings = np.empty(numbers.size + 3, dtype=object)
-    strings[numbers.size:] = [blank, *flags]
-    for start in range(0, numbers.size, 1 << 14):
-        chunk = numbers[start:start + (1 << 14)].tolist()
-        strings[start:start + len(chunk)] = list(map(number, chunk))
-    inverse[1:, degenerate] = numbers.size
-    del numbers
+    inverse[1:, degenerate] = 0
+    # negative bits sort first, by rising magnitude and the NaNs last; a
+    # negative value whose magnitude occurs is "-" and that text (a NaN's repr
+    # has no sign), so only the others are formatted
+    magnitude = distinct[:np.searchsorted(distinct, 0)] & np.int64(2**63 - 1)
+    magnitude = magnitude[:np.searchsorted(magnitude, np.int64(0x7FF << 52), "right")]
+    at = np.searchsorted(distinct, magnitude).clip(max=distinct.size - 1)
+    derived = np.zeros(distinct.size, dtype=bool)
+    derived[:magnitude.size] = distinct[at] == magnitude
+    strings = np.empty(distinct.size + 1, dtype=object)
+    strings[0], texts = blank, strings[1:]
+    # formatted in chunks, so that no list of every value is held beside them
+    for start in range(0, distinct.size, 1 << 14):
+        own = start + np.flatnonzero(~derived[start:start + (1 << 14)])
+        texts[own] = list(map(number, distinct[own].view(np.float64).tolist()))
+    texts[derived] = "-" + texts[at[derived[:at.size]]]
+    del distinct, derived, at, magnitude
     yield head
-    cells = np.empty((m * m, len(keys)), dtype=np.int32)  # one kx slab's
-    cells[:, 1:3] = np.indices((m, m), dtype=np.int32).reshape(2, -1).T
-    rows = np.empty((m * m, 2 * len(keys) + 1), dtype=object)
-    rows[:, 0::2] = (row + sep).split("%s")  # the text around the cells
+    flags = np.array(flags, dtype=object)
+    rows = np.empty((m * m, len(row)), dtype=object)  # one kx slab's pieces
+    rows[:] = row
+    rows[:, 1] = [pair(y, z) for y in axis for z in axis]
+    cols = [row.index(i) for i in range(len(values) + 1)]
     for kx in range(m):
-        cells[:, 0] = kx  # kx, ky and kz lead the keys in both formats
-        cells[:, [keys.index(k) for k in values]] = inverse[:, kx].T
-        cells[:, keys.index("degenerate")] = degenerate[kx] + (len(strings) - 2)
-        rows[:, 1::2] = strings[cells]
-        if kx == m - 1:
-            rows[-1, -1] = row.split("%s")[-1] + tail
+        rows[:, 0] = slab(axis[kx])
+        rows[:, cols[:-1]] = strings[inverse[:, kx]].T
+        rows[:, cols[-1]] = flags[degenerate[kx].view(np.int8)]
+        if kx == m - 1 and last:
+            rows[-1, -1] = last
         yield "".join(rows.ravel().tolist())
 
 

@@ -384,10 +384,14 @@ def phase_expansion_check(kappa) -> float:
     residual roughly eightfold.  Valid for 0 < |kappa| <= 0.1.
     """
     k = _components(kappa)
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, out of range
-        norm = float(np.linalg.norm(k))
-    if norm == 0.0:
+    big = np.abs(k).max()
+    if big == 0.0:
         raise ZeroMomentumError("expansion undefined at kappa = 0")
+    # the norm is taken at kappa 2^e, as in speed_deviation_series, so that it
+    # neither underflows nor overflows; an overflowing one is inf, out of range
+    e = 2 - math.frexp(big)[1]
+    with np.errstate(over="ignore"):
+        norm = float(np.ldexp(np.linalg.norm(np.ldexp(k, e)), -e))
     if norm > 0.1:
         raise SeriesOutOfRangeError(
             f"|kappa| = {norm!r} outside the series window (0, 0.1]")

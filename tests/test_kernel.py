@@ -1,6 +1,7 @@
 """Momentum-space step operator: spectrum, projectors, velocities, series."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -439,6 +440,32 @@ def test_property_speed_deviation_series_matches_an_exact_oracle(kappa):
     kx, ky, kz = map(Fraction, kappa)
     exact = -(kx * ky * kz) / (kx * kx + ky * ky + kz * kz)
     assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+
+@settings(max_examples=300, deadline=None)
+# |kappa|^2 leaves the normal range: ZeroMomentumError before the rescaling
+@example(kappa=(1e-200,) * 3)
+@example(kappa=(0.0, 0.0, 1e-200))
+@example(kappa=(0.0, 5e-324, 0.0))
+@given(kappa=st.tuples(tiny_components, tiny_components, tiny_components))
+def test_property_phase_expansion_check_refuses_only_zero(kappa):
+    # only kappa = 0 is refused; where every square stays in the normal
+    # range, the residual keeps the bits of the unscaled norm
+    if not any(kappa):
+        with pytest.raises(ZeroMomentumError):
+            phase_expansion_check(kappa)
+        return
+    k = np.array(kappa)
+    norm = math.sqrt(k @ k)
+    if norm > 0.1:
+        with pytest.raises(SeriesOutOfRangeError):
+            phase_expansion_check(kappa)
+        return
+    value = phase_expansion_check(kappa)
+    if all(c == 0.0 or c * c >= sys.float_info.min for c in kappa):
+        assert value == abs(phase(k) - (norm - (k[0] * k[1] * k[2]) / (2.0 * norm)))
+    else:
+        assert 0.0 <= value < math.inf
 
 
 def test_series_domain_errors():
