@@ -189,16 +189,17 @@ def _surface_chunks(m: int, fmt: str):
     magnitude = distinct[:np.searchsorted(distinct, 0)] & np.int64(2**63 - 1)
     magnitude = magnitude[:np.searchsorted(magnitude, np.int64(0x7FF << 52), "right")]
     at = np.searchsorted(distinct, magnitude).clip(max=distinct.size - 1)
+    found = distinct[at] == magnitude
     derived = np.zeros(distinct.size, dtype=bool)
-    derived[:magnitude.size] = distinct[at] == magnitude
+    derived[:found.size] = found
     strings = np.empty(distinct.size + 1, dtype=object)
     strings[0], texts = blank, strings[1:]
     # formatted in chunks, so that no list of every value is held beside them
     for start in range(0, distinct.size, 1 << 14):
         own = start + np.flatnonzero(~derived[start:start + (1 << 14)])
         texts[own] = list(map(number, distinct[own].view(np.float64).tolist()))
-    texts[derived] = "-" + texts[at[derived[:at.size]]]
-    del distinct, derived, at, magnitude
+    texts[derived] = "-" + texts[at[found]]
+    del distinct, derived, at, found, magnitude
     yield head
     flags = np.array(flags, dtype=object)
     rows = np.empty((m * m, len(row)), dtype=object)  # one kx slab's pieces
