@@ -154,7 +154,7 @@ def test_surface_reference_covers_signed_zeros_and_degenerate_rows():
     assert np.any((v == 0) & np.signbit(v)) and np.any((v == 0) & ~np.signbit(v))
     assert t["degenerate"].any() and not t["degenerate"].all()
     # and both texts of a negative value: "-" and its magnitude's text where
-    # that magnitude occurs (35 nonzero values), its own text where not (41)
+    # that magnitude occurs (35 distinct nonzero values), its own where not (41)
     values = np.concatenate([t[k] for k in ("phase", "vx", "vy", "vz", "speed")])
     negative = values[values < 0]
     occurs = np.isin(-negative, values)
