@@ -37,7 +37,7 @@ SPREAD_MAX = 2.0 / (3.0 * math.sqrt(3.0))
 
 
 def _finite(value) -> bool:
-    """The scalar-argument gate of bounds and lattice: a finite real number."""
+    """The scalar-argument gate of algebra, bounds and lattice: a finite real number."""
     return isinstance(value, numbers.Real) and math.isfinite(value)
 
 

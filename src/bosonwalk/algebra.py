@@ -19,7 +19,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from . import _finite
+from .errors import ArgumentOutOfRangeError, InvalidArgumentError
 
 
 class Axis(IntEnum):
@@ -94,19 +95,6 @@ def build_projectors(axis: Axis | int) -> ProjectorTriple:
     )
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-13) -> bool:
-    return bool(np.abs(m - m.conj().T).max() <= tol)
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-13) -> bool:
-    eye = np.eye(m.shape[0])
-    return bool(np.abs(m.conj().T @ m - eye).max() <= tol)
-
-
-def is_projector(m: np.ndarray, tol: float = 1e-13) -> bool:
-    return is_hermitian(m, tol) and bool(np.abs(m @ m - m).max() <= tol)
-
-
 @dataclass(frozen=True)
 class ConditionCheck:
     name: str
@@ -139,8 +127,11 @@ def verify_projector_conditions(tolerance: float = 1e-14) -> ConditionReport:
     Constants are extracted as trace ratios rather than assumed, so the
     report doubles as a measurement of c and c'.  Passes iff every residual
     is within `tolerance` and (c, c') land on (1/4, 1/2) to the same
-    tolerance.
+    tolerance, a finite number >= 0.
     """
+    if not (_finite(tolerance) and tolerance >= 0):
+        raise ArgumentOutOfRangeError(
+            f"tolerance {tolerance!r} is not a finite number >= 0")
     triples = {a: build_projectors(a) for a in Axis}
     checks: list[ConditionCheck] = []
     c_estimates: list[float] = []

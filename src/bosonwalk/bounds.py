@@ -62,11 +62,6 @@ class PhysicalConstants:
             if not _finite(getattr(self, name)) or getattr(self, name) <= 0:
                 raise ArgumentOutOfRangeError(f"{name} must be finite and positive")
 
-    @classmethod
-    def rounded(cls) -> "PhysicalConstants":
-        """The coarser hbar c = 2e-7 eV m often used in quick estimates."""
-        return cls(hbar_c=2e-16)
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:

@@ -273,9 +273,10 @@ def cmd_propagate(args) -> int:
     import numpy as np
     from . import kernel, lattice
     raw = _load_packet_config(args.packet)
-    n = args.n if args.n is not None else _packet_number("n", raw["n"], True)
-    steps = (args.steps if args.steps is not None
-             else _packet_number("steps", raw["steps"], True))
+    # the file's n and steps are checked even where a flag overrides them
+    n, steps = (_packet_number(f, raw[f], True) for f in ("n", "steps"))
+    n = n if args.n is None else args.n
+    steps = steps if args.steps is None else args.steps
     sample_every = _packet_number("sample_every", raw["sample_every"], True)
     lat = lattice.Lattice(n)
     spec = lattice.WavePacketSpec(

@@ -197,13 +197,12 @@ class BranchModes:
     """Rank-1 spectral pieces of one 3-component block of U(kappa).
 
     forward, axis, backward are 3x3 projectors on the eigenvalues
-    exp(-i phase), 1, exp(+i phase) of this block's rotation; offset
+    exp(-i phase), 1, exp(+i phase) of this block's rotation; BRANCHES
     locates the block inside the 6-component internal space.
     """
 
     name: str
     phase: float
-    offset: int
     forward: np.ndarray
     axis: np.ndarray
     backward: np.ndarray
@@ -219,58 +218,9 @@ def branch_decomposition(kappa) -> tuple[BranchModes, BranchModes]:
     grids = branch_projector_grids(*_components(kappa))
     phis = _nondegenerate_phases(kappa, grids)
     return tuple(
-        BranchModes(name, phi, offset, *(grids[name][key] for key in (
+        BranchModes(name, phi, *(grids[name][key] for key in (
             "forward", "axis", "backward")))
-        for (name, offset, _), phi in zip(BRANCHES, phis))
-
-
-@dataclass(frozen=True)
-class ModeDecomposition:
-    """Spectral data of U(kappa) grouped by propagation direction.
-
-    projector_plus/zero/minus are exact rank-2 projectors onto the two
-    forward modes, the two stationary modes, and the two backward modes.
-    The forward eigenvalues are exp(-i phase) and exp(-i mirror_phase);
-    `splitting` is their distance and `reconstruction_residual` the error
-    of compressing U to the three eigenvalues {exp(-i phase), 1,
-    exp(+i phase)} alone.  Both vanish on the coordinate planes.
-    """
-
-    phase: float
-    mirror_phase: float
-    eigenvalues: np.ndarray
-    projector_plus: np.ndarray
-    projector_zero: np.ndarray
-    projector_minus: np.ndarray
-    splitting: float
-    reconstruction_residual: float
-
-
-def mode_decomposition(kappa) -> ModeDecomposition:
-    """Group the six exact modes of U(kappa) into forward/zero/backward."""
-    primary, mirror = branches = branch_decomposition(kappa)
-    projectors = np.zeros((3, 6, 6), dtype=complex)
-    for b in branches:
-        o = slice(b.offset, b.offset + 3)
-        projectors[:, o, o] += (b.forward, b.axis, b.backward)
-    p_plus, p_zero, p_minus = projectors
-    lam_p = complex(math.cos(primary.phase), -math.sin(primary.phase))
-    lam_m = complex(math.cos(mirror.phase), -math.sin(mirror.phase))
-    eigenvalues = np.array([
-        lam_p, lam_m, 1.0, 1.0, lam_m.conjugate(), lam_p.conjugate(),
-    ])
-    u = kernel_closed_form(kappa)
-    compressed = lam_p * p_plus + p_zero + lam_p.conjugate() * p_minus
-    return ModeDecomposition(
-        phase=primary.phase,
-        mirror_phase=mirror.phase,
-        eigenvalues=eigenvalues,
-        projector_plus=p_plus,
-        projector_zero=p_zero,
-        projector_minus=p_minus,
-        splitting=abs(lam_p - lam_m),
-        reconstruction_residual=float(np.abs(u - compressed).max()),
-    )
+        for (name, _, _), phi in zip(BRANCHES, phis))
 
 
 def _branch(helicity_index) -> tuple[str, int, float]:
@@ -540,7 +490,7 @@ def surface_table(resolution: int) -> dict[str, np.ndarray]:
     Rows run lexicographically in (kx, ky, kz).  Velocity columns are NaN
     on degenerate points, which the `degenerate` column flags.
     """
-    if not 2 <= resolution <= 512:
+    if not (isinstance(resolution, numbers.Integral) and 2 <= resolution <= 512):
         raise ArgumentOutOfRangeError(
             f"resolution {resolution!r} outside [2, 512]")
     # on open axes each sine and cosine is taken m times, not m^3

@@ -72,10 +72,6 @@ class Lattice:
             raise InvalidArgumentError(
                 f"lattice size must be even and >= 4, got {self.n}")
 
-    @property
-    def sites(self) -> int:
-        return self.n**3
-
     def mode_values(self) -> np.ndarray:
         """Reduced momentum carried by each FFT index, wrapped to (-pi, pi]."""
         m = np.arange(self.n)

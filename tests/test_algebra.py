@@ -10,9 +10,6 @@ from bosonwalk.algebra import (
     build_gamma,
     build_projectors,
     build_spin1_matrix,
-    is_hermitian,
-    is_projector,
-    is_unitary,
     verify_projector_conditions,
 )
 
@@ -21,7 +18,8 @@ AXES = list(Axis)
 
 def test_spin1_matrices_are_hermitian():
     for axis in AXES:
-        assert is_hermitian(build_spin1_matrix(axis))
+        j = build_spin1_matrix(axis)
+        np.testing.assert_allclose(j, j.conj().T, atol=1e-15)
 
 
 def test_spin1_commutation_cyclic():
@@ -47,7 +45,7 @@ def test_gamma_block_structure():
         np.testing.assert_array_equal(g[3:, 3:], -j)
         np.testing.assert_array_equal(g[:3, 3:], np.zeros((3, 3)))
         np.testing.assert_array_equal(g[3:, :3], np.zeros((3, 3)))
-        assert is_hermitian(g)
+        np.testing.assert_allclose(g, g.conj().T, atol=1e-15)
         np.testing.assert_allclose(g @ g @ g, g, atol=1e-15)
 
 
@@ -55,7 +53,8 @@ def test_gamma_block_structure():
 def test_projector_triple_is_a_resolution(axis):
     t = build_projectors(axis)
     for p in (t.plus, t.zero, t.minus):
-        assert is_projector(p)
+        np.testing.assert_allclose(p, p.conj().T, atol=1e-15)
+        np.testing.assert_allclose(p @ p, p, atol=1e-15)
     np.testing.assert_allclose(t.plus + t.zero + t.minus, np.eye(6), atol=1e-15)
     # orthogonality within the axis
     np.testing.assert_allclose(t.plus @ t.zero, np.zeros((6, 6)), atol=1e-15)
@@ -102,11 +101,3 @@ def test_condition_report_flags_loose_tolerance():
     # matrices are small enough that floating point agrees
     assert tight.passed
 
-
-def test_matrix_predicates_reject_counterexamples():
-    m = np.arange(36, dtype=complex).reshape(6, 6)
-    assert not is_hermitian(m)
-    assert not is_unitary(m)
-    assert not is_projector(m)
-    assert is_unitary(np.eye(6))
-    assert is_projector(np.zeros((6, 6)))

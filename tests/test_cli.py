@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -419,6 +420,20 @@ def test_propagate_refuses_integers_too_large_for_a_float(tmp_path, capsys,
     assert len(err) == 1 and field in err[0] and "too large" in err[0]
 
 
+@pytest.mark.parametrize("field, value", [("n", "abc"), ("steps", True)])
+def test_propagate_checks_the_packet_field_a_flag_overrides(tmp_path, capsys,
+                                                            field, value):
+    # with --n and --steps the file's own n and steps went unchecked: exit 0
+    packet = write_packet(tmp_path, **{field: value})
+    assert run_cli("propagate", "--packet", packet) == 2
+    alone = capsys.readouterr().err
+    assert run_cli("propagate", "--packet", packet, "--n", "16",
+                   "--steps", "4") == 2
+    assert capsys.readouterr().err == alone == (
+        "bosonwalk: configuration error: packet field "
+        f"{field!r} must be an integer, got {value!r}\n")
+
+
 def test_propagate_accepts_integral_floats(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("propagate", "--packet", write_packet(tmp_path),
@@ -803,6 +818,41 @@ def test_out_through_a_symlink_writes_the_file_it_names(capsys, tmp_path,
     assert run_cli("bounds", "--format", "csv", "--out", str(link)) == 0
     assert run_cli("bounds", "--format", "csv") == 0
     assert link.is_symlink() and target.read_text() == capsys.readouterr().out
+
+
+def _surface_failing_after_one_chunk(monkeypatch, tmp_path, error):
+    """An existing --out target, and a surface whose text breaks off with
+    `error` once its first chunk is written."""
+    def chunks(m, fmt):
+        yield "kx,ky,kz,phase,vx,vy,vz,speed,degenerate\n"
+        raise error
+    monkeypatch.setattr(cli, "_surface_chunks", chunks)
+    target = tmp_path / "surface.csv"
+    target.write_text("old\n")
+    return target
+
+
+def test_out_failing_mid_write_leaves_the_target_as_it_was(capsys, tmp_path,
+                                                           monkeypatch):
+    # an --out file appears either complete or not at all
+    target = _surface_failing_after_one_chunk(
+        monkeypatch, tmp_path, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    assert run_cli("surface", "--grid", "3", "--out", str(target)) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"bosonwalk: I/O error: [Errno {errno.ENOSPC}] "
+        f"{os.strerror(errno.ENOSPC)}: {str(target)!r}"]
+    assert target.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [target]  # no .bosonwalk-* file
+
+
+def test_out_interrupted_mid_write_propagates_and_cleans_up(tmp_path,
+                                                            monkeypatch):
+    target = _surface_failing_after_one_chunk(monkeypatch, tmp_path,
+                                              KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("surface", "--grid", "3", "--out", str(target))
+    assert target.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [target]  # no .bosonwalk-* file
 
 
 def _start_reader(fifo, size=-1):

@@ -31,7 +31,6 @@ from bosonwalk.kernel import (
     kernel_grid,
     mirror_phase,
     mirror_phase_grid,
-    mode_decomposition,
     phase,
     phase_expansion_check,
     phase_grid,
@@ -191,38 +190,42 @@ def test_phases_coincide_when_any_component_vanishes():
 
 # ---------------------------------------------------------------- spectrum
 
+def _splitting(k):
+    """|e^{-i phase} - e^{-i mirror_phase}|: how far the forward branches part."""
+    return abs(np.exp(-1j * phase(k)) - np.exp(-1j * mirror_phase(k)))
+
+
+def _single_phase_rebuild(k):
+    """U(k) rebuilt from both branches' projectors with the primary phase alone."""
+    lam = np.exp(-1j * phase(k))
+    rebuilt = np.zeros((6, 6), dtype=complex)
+    for (_, offset, _), b in zip(BRANCHES, branch_decomposition(k)):
+        rebuilt[offset:offset + 3, offset:offset + 3] = (
+            lam * b.forward + b.axis + np.conj(lam) * b.backward)
+    return rebuilt
+
+
 def test_eigenvalue_multiset_against_general_solver():
+    # {e^{-+i phase}, e^{-+i mirror_phase}, 1, 1}, the phases as the branches
+    # carry them
     rng = np.random.default_rng(12)
     for k in random_momenta(100, rng):
-        md = mode_decomposition(k)
-        u = kernel_closed_form(k)
-        reference = np.linalg.eigvals(u)
+        primary, mirror = branch_decomposition(k)
+        assert (primary.phase, mirror.phase) == (phase(k), mirror_phase(k))
+        ours = np.exp(-1j * np.array([primary.phase, mirror.phase, 0.0, 0.0,
+                                      -mirror.phase, -primary.phase]))
+        reference = np.linalg.eigvals(kernel_closed_form(k))
         reference = reference[np.argsort(np.angle(reference))]
-        ours = md.eigenvalues[np.argsort(np.angle(md.eigenvalues))]
+        ours = ours[np.argsort(np.angle(ours))]
         np.testing.assert_allclose(ours, reference, atol=1e-10)
-
-
-def test_spectrum_structure():
-    rng = np.random.default_rng(13)
-    for k in random_momenta(30, rng):
-        md = mode_decomposition(k)
-        lam = md.eigenvalues
-        # two unit eigenvalues, two conjugate pairs
-        np.testing.assert_allclose(lam[2], 1.0, atol=1e-13)
-        np.testing.assert_allclose(lam[3], 1.0, atol=1e-13)
-        np.testing.assert_allclose(lam[4], np.conj(lam[1]), atol=1e-13)
-        np.testing.assert_allclose(lam[5], np.conj(lam[0]), atol=1e-13)
-        assert np.isclose(abs(lam[0]), 1.0, atol=1e-13)
-        assert md.splitting >= 0.0
 
 
 def test_branch_phases_split_at_generic_momentum():
     # the two 3x3 blocks carry different phases unless a momentum
     # component sits at 0 or pi; the splitting is cubic in |kappa|
-    md = mode_decomposition(ReducedMomentum.wrap(0.9, 0.8, 0.7))
-    assert md.splitting > 1e-3
-    md_small = mode_decomposition(ReducedMomentum.wrap(0.09, 0.08, 0.07))
-    ratio = md.splitting / md_small.splitting
+    splitting = _splitting(ReducedMomentum.wrap(0.9, 0.8, 0.7))
+    assert splitting > 1e-3
+    ratio = splitting / _splitting(ReducedMomentum.wrap(0.09, 0.08, 0.07))
     assert ratio > 100  # roughly (10)^3
 
 
@@ -253,21 +256,16 @@ def test_branch_projectors_resolve_identity():
 
 
 def test_aggregated_projectors_and_reconstruction():
+    # each branch projector has rank 1, so forward, stationary and backward
+    # each span two modes of U; one phase for both misses U by at most the
+    # splitting
     rng = np.random.default_rng(16)
     for k in random_momenta(30, rng):
-        md = mode_decomposition(k)
-        u = kernel_closed_form(k)
-        total = md.projector_plus + md.projector_zero + md.projector_minus
-        np.testing.assert_allclose(total, np.eye(6), atol=1e-11)
-        for p in (md.projector_plus, md.projector_zero, md.projector_minus):
-            np.testing.assert_allclose(p @ p, p, atol=1e-11)
-            assert np.isclose(np.trace(p).real, 2.0, atol=1e-11)
-        # single-phase reconstruction misses by the branch splitting
-        single = (np.exp(-1j * md.phase) * md.projector_plus + md.projector_zero
-                  + np.exp(1j * md.phase) * md.projector_minus)
-        resid = np.max(np.abs(u - single))
-        assert np.isclose(resid, md.reconstruction_residual, atol=1e-12)
-        assert resid <= md.splitting + 1e-11
+        for branch in branch_decomposition(k):
+            for p in (branch.forward, branch.axis, branch.backward):
+                assert np.isclose(np.trace(p).real, 1.0, atol=1e-11)
+        resid = np.max(np.abs(kernel_closed_form(k) - _single_phase_rebuild(k)))
+        assert resid <= _splitting(k) + 1e-11
 
 
 def test_reconstruction_exact_with_both_branch_phases():
@@ -285,9 +283,10 @@ def test_reconstruction_exact_with_both_branch_phases():
 
 
 def test_reconstruction_residual_vanishes_without_splitting():
-    md = mode_decomposition(ReducedMomentum.wrap(0.7, 0.0, 0.4))
-    assert md.splitting <= 1e-14
-    assert md.reconstruction_residual <= 1e-12
+    k = ReducedMomentum.wrap(0.7, 0.0, 0.4)
+    assert _splitting(k) <= 1e-14
+    np.testing.assert_allclose(_single_phase_rebuild(k), kernel_closed_form(k),
+                               rtol=0, atol=1e-12)
 
 
 def test_positive_energy_vector_is_eigenvector():
@@ -320,13 +319,12 @@ def test_degenerate_momentum_raises():
     # the arccos angles are tested first, so a refusal they make keeps
     # its wording
     with pytest.raises(DegenerateSpectrumError, match="^phase = 0.0 is within"):
-        mode_decomposition(ReducedMomentum.wrap(np.pi, np.pi, np.pi))
+        branch_decomposition(ReducedMomentum.wrap(np.pi, np.pi, np.pi))
     # the block angle is exactly pi here, but the arccos form reads
     # 3.1415926325, 2e-8 short of it: only the quaternion angle fires
     k = ReducedMomentum.wrap(np.pi, 0.0, np.pi - 0.05)
     assert math.pi - phase(k) > 1e-8
-    for scalar_api in (positive_energy_vector, branch_decomposition,
-                       mode_decomposition):
+    for scalar_api in (positive_energy_vector, branch_decomposition):
         with pytest.raises(DegenerateSpectrumError, match=(
                 r"^phase \(block angle\) = 3.141592653589793 is within")):
             scalar_api(k)

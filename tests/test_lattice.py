@@ -76,7 +76,7 @@ def test_lattice_rejects_odd_or_tiny_sizes():
     for bad in (3, 2, 7, 0, -4):
         with pytest.raises(ValueError):
             Lattice(bad)
-    assert Lattice(4).sites == 64
+    assert Lattice(4).n == 4
 
 
 def test_mode_values_wrap_to_half_open_zone():

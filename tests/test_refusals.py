@@ -171,6 +171,12 @@ REFUSALS = {
                              (algebra.build_gamma, "x"),
                              (algebra.build_gamma, True),
                              (algebra.build_projectors, 1.5))},
+    "surface resolution of a fraction": (
+        lambda tmp: kernel.surface_table(2.5), ArgumentOutOfRangeError,
+        "resolution 2.5 outside [2, 512]"),
+    "projector-condition tolerance given as a string": (
+        lambda tmp: algebra.verify_projector_conditions("a"),
+        ArgumentOutOfRangeError, "tolerance 'a' is not a finite number >= 0"),
     "lattice size of a float": (
         lambda tmp: lattice.Lattice(4.0), InvalidArgumentError,
         "lattice size must be even and >= 4, got 4.0"),
@@ -279,13 +285,6 @@ def _branches(modes):
         _finite(b.forward, b.axis, b.backward)
 
 
-def _modes(d):
-    _angle(d.phase)
-    _angle(d.mirror_phase)
-    _finite(d.projector_plus, d.projector_zero, d.projector_minus)
-    assert np.allclose(np.abs(d.eigenvalues), 1.0, rtol=0, atol=1e-12)
-
-
 def _unit_vector(v):
     assert v.shape == (6,) and abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
@@ -352,12 +351,23 @@ def _bound(call, factor):
 
 
 def _hermitian(m, size):
-    assert m.shape == (size, size) and algebra.is_hermitian(m)
+    assert m.shape == (size, size)
+    np.testing.assert_allclose(m, m.conj().T, atol=1e-13)
 
 
 def _projectors(triple):
     for p in (triple.plus, triple.zero, triple.minus):
-        assert algebra.is_projector(p)
+        _hermitian(p, 6)
+        np.testing.assert_allclose(p @ p, p, atol=1e-13)
+
+
+def _conditions(report):
+    # every residual is exactly zero, so any tolerance >= 0 passes
+    assert report.passed
+
+
+def _surface(m, table):
+    assert all(column.shape == (m**3,) for column in table.values())
 
 
 _DIRECTION = anisotropy.Direction(1.0, 1.0)
@@ -374,8 +384,6 @@ CALLS = {
         kernel.kernel_exponential(d.draw(momenta))),
     "kernel.branch_decomposition": lambda d: _branches(
         kernel.branch_decomposition(d.draw(momenta))),
-    "kernel.mode_decomposition": lambda d: _modes(
-        kernel.mode_decomposition(d.draw(momenta))),
     "kernel.positive_energy_vector": lambda d: _unit_vector(
         kernel.positive_energy_vector(d.draw(momenta), d.draw(_choice(0, 1)))),
     "kernel.group_velocity_analytic": lambda d: _velocity(
@@ -387,6 +395,8 @@ CALLS = {
         k := d.draw(triples), kernel.speed_deviation_series(k)),
     "kernel.phase_expansion_check": lambda d: _finite(
         kernel.phase_expansion_check(d.draw(momenta))),
+    "kernel.surface_table": lambda d: _surface(
+        m := d.draw(numbers), kernel.surface_table(m)),
     "kernel.ReducedMomentum": lambda d: _in_zone(
         kernel.ReducedMomentum(*d.draw(triples))),
     "kernel.ReducedMomentum.wrap": lambda d: _in_zone(
@@ -430,6 +440,8 @@ CALLS = {
         algebra.build_gamma(d.draw(_choice(*algebra.Axis))), 6),
     "algebra.build_projectors": lambda d: _projectors(
         algebra.build_projectors(d.draw(_choice(*algebra.Axis)))),
+    "algebra.verify_projector_conditions": lambda d: _conditions(
+        algebra.verify_projector_conditions(d.draw(numbers))),
 }
 
 
