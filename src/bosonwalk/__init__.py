@@ -37,8 +37,12 @@ SPREAD_MAX = 2.0 / (3.0 * math.sqrt(3.0))
 
 
 def _finite(value) -> bool:
-    """The scalar-argument gate of algebra, bounds and lattice: a finite real number."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    """The scalar-argument gate of algebra, bounds and lattice: a finite real
+    number; an int past the float range is not one."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 from . import errors

@@ -96,6 +96,9 @@ class SphereStats:
 
 
 def _counts_at_least(least: int, *counts) -> bool:
+    if any(isinstance(n, numbers.Integral) and n > 2**53 for n in counts):
+        raise ArgumentOutOfRangeError(  # past what a float holds exactly
+            "need n_theta, n_phi <= 2**53, got " + ", ".join(map(str, counts)))
     return all(isinstance(n, numbers.Integral) and n >= least for n in counts)
 
 

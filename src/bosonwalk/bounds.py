@@ -158,13 +158,6 @@ def _echo(record: ExperimentRecord, constants: PhysicalConstants,
             **factors}
 
 
-def _check_factor(name: str, value) -> None:
-    if not _finite(value):
-        raise ArgumentOutOfRangeError(f"{name} must be finite, got {value!r}")
-    if value <= 0:
-        raise ArgumentOutOfRangeError(f"{name} must be positive")
-
-
 def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
                      rms_factor: float = RMS_SOLID_ANGLE,
                      normalization: str = "paper_rms") -> BoundResult:
@@ -177,7 +170,10 @@ def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
     if record.kind != DISPERSION:
         raise ArgumentOutOfRangeError(
             f"record {record.id!r} is not a dispersion record")
-    _check_factor("rms_factor", rms_factor)
+    if not _finite(rms_factor):
+        raise ArgumentOutOfRangeError(f"rms_factor must be finite, got {rms_factor!r}")
+    if rms_factor <= 0:
+        raise ArgumentOutOfRangeError("rms_factor must be positive")
     if record.liv_order == 2:
         raise UnsupportedOrderError(
             f"record {record.id!r} constrains quadratic-order dispersion; "
@@ -196,46 +192,41 @@ def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
 
 
 def anisotropy_bound(record: ExperimentRecord, constants: PhysicalConstants,
-                     spread_factor: float = SPREAD_MAX,
                      paper_compat: bool = True) -> BoundResult:
     """Resonator bound dx from Delta c / c at wavelength lambda.
 
-    First principles: Delta c / c ~= spread_factor * (E dx / hbar c) with
-    E = c h / lambda gives dx <= (Delta c / c) / spread_factor * lambda /
+    First principles: Delta c / c ~= SPREAD_MAX * (E dx / hbar c) with
+    E = c h / lambda gives dx <= (Delta c / c) / SPREAD_MAX * lambda /
     2 pi.  With paper_compat the spread factor multiplies instead, which
-    matches published example figures; when the two readings differ by
-    more than 1% both are returned.
+    matches published example figures.  The two readings differ by the
+    factor SPREAD_MAX**2, so both are returned, with a note.
     """
     if record.kind != ANISOTROPY:
         raise ArgumentOutOfRangeError(
             f"record {record.id!r} is not an anisotropy record")
-    _check_factor("spread_factor", spread_factor)
     if record.wavelength is None:
         raise MissingWavelengthError(
             f"record {record.id!r} has no wavelength; the photon energy "
             "is undefined")
     scale = record.delta_c_over_c * record.wavelength / (2.0 * math.pi)
-    compat = scale * spread_factor
-    first_principles = scale / spread_factor
+    compat = scale * SPREAD_MAX
+    first_principles = scale / SPREAD_MAX
     # refused whichever reading is primary, so paper_compat never decides it
     readings = (compat, first_principles)
     _check_range(record.id, *readings,
                  *(r / constants.planck_length for r in readings))
     dx, alt = (compat, first_principles) if paper_compat else (first_principles, compat)
-    note = None
-    if abs(dx - alt) > 0.01 * max(dx, alt):
-        note = ("spread-factor normalization ambiguity: multiplying by the "
-                f"spread gives {compat:.6e} m, dividing gives "
-                f"{first_principles:.6e} m")
     return BoundResult(
         experiment_id=record.id,
         delta_x_upper_bound=dx,
         ratio_to_planck=dx / constants.planck_length,
         normalization_used="max_spread",
-        inputs_echo=_echo(record, constants, spread_factor=spread_factor,
+        inputs_echo=_echo(record, constants, spread_factor=SPREAD_MAX,
                           paper_compat=paper_compat),
-        alternate_delta_x_upper_bound=alt if note else None,
-        note=note,
+        alternate_delta_x_upper_bound=alt,
+        note=("spread-factor normalization ambiguity: multiplying by the "
+              f"spread gives {compat:.6e} m, dividing gives "
+              f"{first_principles:.6e} m"),
     )
 
 

@@ -280,16 +280,15 @@ def group_velocity_analytic(kappa) -> GroupVelocity:
     return GroupVelocity(float(vx), float(vy), float(vz))
 
 
-def group_velocity_numeric(kappa, step: float = 1e-6) -> GroupVelocity:
+def group_velocity_numeric(kappa) -> GroupVelocity:
     """Central-difference gradient of phase(kappa), for cross-checking.
 
     Each difference is divided by the step the floats actually took.  A
-    component so large that the floats next to it lie more than 1% of
-    `step` off k +- step is refused: its quotient would not be centred on
+    component so large that the floats next to it lie more than 1% of the
+    step 1e-6 off k +- step is refused: its quotient would not be centred on
     kappa, or would not exist.
     """
-    if not (isinstance(step, numbers.Real) and 1e-8 <= step <= 1e-2):
-        raise ArgumentOutOfRangeError(f"step {step!r} outside [1e-8, 1e-2]")
+    step = 1e-6
     k = _components(kappa)
     comps = []
     for i in range(3):

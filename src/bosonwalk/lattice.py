@@ -46,7 +46,6 @@ from .kernel import (
     GroupVelocity,
     ReducedMomentum,
     _components,
-    forward_vector_grids,
     positive_energy_vector,
     rotation_grids,
     velocity_grid,
@@ -107,13 +106,12 @@ class LatticeState:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
-def random_state(lattice: Lattice, rng: np.random.Generator,
-                 basis: str = POSITION) -> LatticeState:
-    """A normalized state with iid complex Gaussian amplitudes."""
+def random_state(lattice: Lattice, rng: np.random.Generator) -> LatticeState:
+    """A normalized position-basis state with iid complex Gaussian amplitudes."""
     shape = (lattice.n,) * 3 + (6,)
     amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
-    return LatticeState(lattice, basis, amp)
+    return LatticeState(lattice, POSITION, amp)
 
 
 def to_momentum(state: LatticeState) -> LatticeState:
@@ -165,9 +163,7 @@ class WavePacketSpec:
     the probability (3.8e-33 for sigma = pi/16 at n = 64).
 
     The internal state is frozen to the positive-energy eigenvector at k0
-    (helicity 0: primary branch; 1: mirror branch) unless
-    per_mode_internal is set, in which case each mode carries its own
-    forward eigenvector.
+    (helicity 0: primary branch; 1: mirror branch) on every mode.
     """
 
     kind: str
@@ -175,7 +171,6 @@ class WavePacketSpec:
     x0: tuple[int, int, int]
     width: float
     helicity: int = 0
-    per_mode_internal: bool = False
 
     def __post_init__(self):
         for field in ("k0", "x0"):  # tuples keep the spec hashable
@@ -260,7 +255,7 @@ def _packet_window(lattice: Lattice, spec: WavePacketSpec):
         math.prod(shape) * budget._BYTES_PER_WINDOW_MODE,
         "a packet window of {} x {} x {} modes".format(*shape))
     weights = functools.reduce(np.multiply, np.ix_(*factors))
-    kxg, kyg, kzg = grids = lattice.mode_grids(window)
+    kxg, kyg, kzg = lattice.mode_grids(window)
 
     x0 = np.asarray(spec.x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,16 +264,11 @@ def _packet_window(lattice: Lattice, spec: WavePacketSpec):
         raise PacketSpecError(
             f"x0 {x0.tolist()} is too large: its plane-wave phase overflows")
     offset = BRANCHES[spec.helicity][1]
-    # with per_mode_internal, modes with no forward eigenvector get zero
-    u = (forward_vector_grids(*grids, spec.helicity) if spec.per_mode_internal
-         else positive_energy_vector(k0, spec.helicity)[offset:offset + 3])
+    u = positive_energy_vector(k0, spec.helicity)[offset:offset + 3]
     block = (weights * plane)[..., None] * u
     # with the other block's zeros in place: a block-only sum rounds differently
     pad = [(0, 0)] * 3 + [(offset, 3 - offset)]
-    nrm = np.sqrt(np.sum(np.pad(np.abs(block) ** 2, pad)))
-    if nrm == 0.0:
-        raise PacketSpecError("packet has no support on the momentum grid")
-    block /= nrm
+    block /= np.sqrt(np.sum(np.pad(np.abs(block) ** 2, pad)))
     return window, block
 
 
@@ -343,6 +333,8 @@ def evolve_spectral(state: LatticeState, steps: int) -> LatticeState:
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise InvalidArgumentError(f"steps must be a nonnegative integer, got {steps}")
+    if steps > 2**53:  # past it, steps times a float angle rounds steps itself
+        raise InvalidArgumentError(f"steps {steps} exceed 2**53")
     came_from_position = state.basis == POSITION
     work = to_momentum(state) if came_from_position else state
     amp = work.amplitudes.copy()
@@ -372,6 +364,8 @@ def evolve_direct(state: LatticeState, steps: int) -> LatticeState:
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise InvalidArgumentError(f"steps must be a nonnegative integer, got {steps}")
+    if steps > 2**53:  # the step counts evolve_spectral takes
+        raise InvalidArgumentError(f"steps {steps} exceed 2**53")
     came_from_momentum = state.basis == MOMENTUM
     work = to_position(state) if came_from_momentum else state
     amp = work.amplitudes.copy()

@@ -388,6 +388,18 @@ def test_propagate_gaussian_at_an_exact_pi_angle_is_numerical_error(
         "1e-09 of 0 or pi; forward/backward modes merge there"]
 
 
+def test_propagate_packet_spread_over_the_torus_is_numerical_error(
+        tmp_path, capsys):
+    # along x the circular resultant of this sinc packet falls to 4.4e-8 at
+    # step 822, below the 1e-6 a centroid needs
+    packet = write_packet(tmp_path, n=36, k0=[math.pi, 2 * math.pi * 13 / 36, math.pi],
+                          x0=[0, 0, 0], steps=822, sample_every=6)
+    assert run_cli("propagate", "--packet", packet) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "bosonwalk: numerical failure: "
+        "packet spread out too far for a defined centroid"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, value", [
     ("x0", [8.5, 8, 8]),

@@ -380,14 +380,6 @@ def test_axis_velocity_is_exactly_light_speed():
             np.testing.assert_allclose(v.as_array(), expected, atol=1e-12)
 
 
-def test_numeric_velocity_step_validation():
-    k = ReducedMomentum.wrap(0.4, 0.5, 0.6)
-    with pytest.raises(ArgumentOutOfRangeError):
-        group_velocity_numeric(k, step=1.0)
-    with pytest.raises(ArgumentOutOfRangeError):
-        group_velocity_numeric(k, step=1e-12)
-
-
 # ----------------------------------------------------------------- series
 
 def test_phase_expansion_residual_scales_cubically():

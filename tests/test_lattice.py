@@ -5,7 +5,6 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from bosonwalk.kernel import (
     BRANCHES,
     ReducedMomentum,
     branch_projector_grids,
-    forward_vector_grids,
     group_velocity_analytic,
     mirror_phase_grid,
     phase,
@@ -282,20 +280,10 @@ def test_frozen_internal_matches_eigenvector_at_center():
     assert np.isclose(overlap, 1.0, atol=1e-12)
 
 
-def test_per_mode_packet_is_exact_eigenmode_mixture():
-    lat = Lattice(32)
-    spec = WavePacketSpec("gaussian", (0.5, 0.3, -0.4), (16, 16, 16), np.pi / 8,
-                          per_mode_internal=True)
-    pk = make_wavepacket(lat, spec)
-    ev = evolve_spectral(pk, 1)
-    ph = phase_grid(*lat.mode_grids())
-    expected = np.exp(-1j * ph)[..., None] * pk.amplitudes
-    np.testing.assert_allclose(ev.amplitudes, expected, atol=1e-12)
-
-
 def test_project_to_branch_yields_eigenmode_mixture():
     lat = Lattice(16)
-    st = random_state(lat, np.random.default_rng(3), basis="momentum")
+    st = LatticeState(lat, "momentum",
+                      random_state(lat, np.random.default_rng(3)).amplitudes)
     proj = project_to_branch(st, helicity=1)
     assert np.isclose(proj.norm(), 1.0, atol=1e-12)
     ev = evolve_spectral(proj, 1)
@@ -375,7 +363,7 @@ def small_states(draw):
     to read."""
     lat = Lattice(draw(st.sampled_from([4, 6, 8])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amp = random_state(lat, rng, basis="momentum").amplitudes
+    amp = random_state(lat, rng).amplitudes
     if draw(st.booleans()):
         grids = lat.mode_grids()
         edge = np.ones((lat.n,) * 3, dtype=bool)
@@ -605,8 +593,8 @@ def test_general_state_split_never_writes_to_its_input(basis, sparse):
     # the split writes each block's perpendicular part over the amplitudes
     # it is given, so every caller must hand it a copy
     lat = Lattice(8)
-    st = (sparse_state(lat, basis) if sparse
-          else random_state(lat, np.random.default_rng(5), basis))
+    st = (sparse_state(lat, basis) if sparse else LatticeState(
+        lat, basis, random_state(lat, np.random.default_rng(5)).amplitudes))
     before = st.amplitudes.copy()
     evolve_spectral(st, 3)
     project_to_branch(st, 0)
@@ -647,14 +635,12 @@ def test_interleaved_specs_predict_as_fresh_packets():
 
 # ------------------------------------------------------ occupied blocks
 
-@pytest.mark.parametrize("per_mode_internal", [False, True])
 @pytest.mark.parametrize("helicity", [0, 1])
 @pytest.mark.parametrize("kind, width", [("sinc", 2), ("gaussian", np.pi / 8)])
-def test_packet_split_holds_only_the_packet_block(kind, width, helicity,
-                                                  per_mode_internal):
+def test_packet_split_holds_only_the_packet_block(kind, width, helicity):
     lat = Lattice(32)
     spec = WavePacketSpec(kind, (0.4, 0.3, -0.2), (8, 8, 8), width,
-                          helicity=helicity, per_mode_internal=per_mode_internal)
+                          helicity=helicity)
     offset = BRANCHES[helicity][1]
     window, block = _packet_window(lat, spec)
     assert block.shape == tuple(map(len, window)) + (3,)
@@ -685,7 +671,7 @@ def test_an_integral_helicity_acts_as_the_int(helicity):
 @pytest.mark.parametrize("empty", [0, 3])
 def test_spectral_evolution_keeps_an_empty_block_exactly_zero(empty):
     lat = Lattice(8)
-    amp = random_state(lat, np.random.default_rng(6), "momentum").amplitudes
+    amp = random_state(lat, np.random.default_rng(6)).amplitudes
     amp[..., empty:empty + 3] = 0.0
     st = LatticeState(lat, "momentum", amp / np.linalg.norm(amp))
     a = evolve_spectral(st, 5).amplitudes
@@ -797,23 +783,20 @@ def sinc_packets(draw):
     spec = WavePacketSpec(
         "sinc", tuple(2 * np.pi * m / n for m in modes),
         tuple(draw(st.integers(0, n - 1)) for _ in range(3)), width,
-        helicity=draw(st.integers(0, 1)),
-        per_mode_internal=draw(st.booleans()))
+        helicity=draw(st.integers(0, 1)))
     return Lattice(n), spec, draw(st.integers(1, 3)), draw(st.integers(1, 4))
 
 
 @settings(max_examples=20, deadline=None)
 @given(case=sinc_packets())
-@example(case=(Lattice(16), WavePacketSpec(
-    "sinc", (0.0, 0.0, 0.0), (3, 8, 15), 2, per_mode_internal=True), 2, 3))
 @example(case=(Lattice(32), WavePacketSpec(
     "sinc", (np.pi, -np.pi, 2 * np.pi / 32), (0, 31, 7), 6, helicity=1), 3, 2))
 def test_property_windowed_packet_matches_full_lattice(case):
     lat, spec, sample_every, intervals = case
     try:
         packet = make_wavepacket(lat, spec)
-    except (DegenerateSpectrumError, PacketSpecError):
-        assume(False)  # k0 or every mode of the cube has no forward mode
+    except DegenerateSpectrumError:
+        assume(False)  # k0 has no forward mode
     mv = measure_group_velocity(lat, spec, sample_every * intervals,
                                 sample_every)
     positions, spreads, norms = full_lattice_trajectory(
@@ -882,10 +865,7 @@ def uncut_gaussian(lat, spec):
     d2 = sum(((g - c + np.pi) % (2.0 * np.pi) - np.pi) ** 2
              for g, c in zip(grids, k0.as_array()))
     plane = np.exp(-1j * sum(g * x for g, x in zip(grids, spec.x0)))
-    offset = BRANCHES[spec.helicity][1]
-    u = (np.pad(forward_vector_grids(*grids, spec.helicity),
-                [(0, 0)] * 3 + [(offset, 3 - offset)]) if spec.per_mode_internal
-         else positive_energy_vector(k0, spec.helicity))
+    u = positive_energy_vector(k0, spec.helicity)
     amp = (np.exp(-d2 / (4.0 * spec.width**2)) * plane)[..., None] * u
     return LatticeState(lat, "momentum", amp / np.linalg.norm(amp))
 
@@ -904,7 +884,7 @@ def cut_gaussian_packets(draw):
                           for _ in range(3)),
         tuple(draw(st.integers(0, 63)) for _ in range(3)),
         draw(st.one_of(st.just(np.pi / 16), st.floats(np.pi / 16, np.pi / 8))),
-        helicity=draw(st.integers(0, 1)), per_mode_internal=draw(st.booleans()))
+        helicity=draw(st.integers(0, 1)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -914,16 +894,14 @@ def cut_gaussian_packets(draw):
 @example(spec=WavePacketSpec("gaussian", (np.pi, 0.0, np.pi - 0.05), (0, 0, 0),
                              np.pi / 16))
 @example(spec=WavePacketSpec("gaussian", (np.pi, 0.3, -np.pi), (63, 0, 31),
-                             np.pi / 16, helicity=1, per_mode_internal=True))
-@example(spec=WavePacketSpec("gaussian", (0.0, 0.0, 0.0), (0, 0, 1), 0.375,
-                             per_mode_internal=True))
+                             np.pi / 16, helicity=1))
 def test_property_cut_gaussian_matches_the_uncut_packet(spec):
     lat = Lattice(64)
     try:
         uncut = uncut_gaussian(lat, spec)
         mv = measure_group_velocity(lat, spec, 6, 3)
-    except (DegenerateSpectrumError, PacketSpecError):
-        assume(False)  # k0 has no forward mode, or no mode has one
+    except DegenerateSpectrumError:
+        assume(False)  # k0 has no forward mode
     positions, spreads, norms = full_lattice_trajectory(
         lat, spec, mv.trajectory.steps, uncut)
     offset = (mv.trajectory.positions - positions + 32) % 64 - 32
@@ -980,8 +958,7 @@ def test_memory_budget_is_the_smaller_of_the_limit_and_free_memory(
 
 
 @pytest.mark.parametrize("n, spec, samples", [
-    (32, WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (8, 8, 8), np.pi / 8,
-                        per_mode_internal=True), 41),
+    (32, WavePacketSpec("gaussian", (0.4, 0.3, -0.2), (8, 8, 8), np.pi / 8), 41),
     (64, BENCHMARK_PACKET, 17),
     (16, WavePacketSpec("sinc", (0.4, 0.0, 0.0), (8, 8, 8), 2), 1001),
 ])
@@ -1000,19 +977,18 @@ def test_memory_estimate_covers_the_measured_peak(n, spec, samples):
 
 
 def test_benchmark_packet_peaks_under_256_bytes_per_window_mode():
-    # the packet, with its internal state frozen or per mode, is built as
-    # its one block, split in place and sampled into one buffer
+    # the packet is built as its one block, split in place and sampled into
+    # one buffer
     lat = Lattice(64)
     window, _ = _packet_window(lat, BENCHMARK_PACKET)
     modes = np.prod([len(w) for w in window])
-    for spec in (BENCHMARK_PACKET, replace(BENCHMARK_PACKET, per_mode_internal=True)):
-        tracemalloc.start()
-        try:
-            measure_group_velocity(lat, spec, 16, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 256 * modes + 17 * _BYTES_PER_SAMPLE, spec
+    tracemalloc.start()
+    try:
+        measure_group_velocity(lat, BENCHMARK_PACKET, 16, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * modes + 17 * _BYTES_PER_SAMPLE
 
 
 def test_over_budget_packet_is_refused_before_allocating(monkeypatch):
