@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX  # noqa: F401
+from . import RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX, budget  # noqa: F401
 from .errors import ArgumentOutOfRangeError, SeriesOutOfRangeError
 
 MAX_VALUE = 1.0 / (3.0 * math.sqrt(3.0))
@@ -129,6 +129,10 @@ def sphere_stats(n_theta: int = 64, n_phi: int = 64) -> SphereStats:
     if not _counts_at_least(16, n_theta, n_phi):
         raise ArgumentOutOfRangeError(
             f"need n_theta, n_phi >= 16, got {n_theta}, {n_phi}")
+    # the doubled pass: a (2 n_theta)^2 companion matrix, a 2 n_theta x 2 n_phi grid
+    budget._refuse_over_budget(
+        4 * n_theta * (n_theta + n_phi) * budget._SPHERE_BYTES_PER_POINT,
+        f"sphere statistics on {n_theta} x {n_phi} nodes")
     mean, mean_sq = _sphere_moments(n_theta, n_phi)
     _, mean_sq_fine = _sphere_moments(2 * n_theta, 2 * n_phi)
     rms_unit = math.sqrt(mean_sq)
@@ -155,6 +159,8 @@ def anisotropy_map(n_theta: int, n_phi: int):
     if not _counts_at_least(1, n_theta, n_phi):
         raise ArgumentOutOfRangeError(
             f"need n_theta, n_phi >= 1, got {n_theta}, {n_phi}")
+    budget._refuse_over_budget(n_theta * n_phi * budget._MAP_BYTES_PER_POINT,
+                               f"an anisotropy map of {n_theta} x {n_phi} points")
     theta = np.linspace(0.0, math.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     tg, pg = np.meshgrid(theta, phi, indexing="ij")

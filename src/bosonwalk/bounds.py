@@ -230,14 +230,13 @@ def anisotropy_bound(record: ExperimentRecord, constants: PhysicalConstants,
     )
 
 
-def time_lag(distance: float, e_high: float, e_low: float, e_qg: float,
-             n: int = 1, s: int = 1) -> float:
+def time_lag(distance: float, e_high: float, e_low: float, e_qg: float) -> float:
     """Arrival-time difference in seconds between two photon energies.
 
-    dt = s (d / c) ((n + 1) / 2) (e_high^n - e_low^n) / e_qg^n; positive
-    means the higher-energy photon arrives later (subluminal, s = +1).
-    Flat space, no cosmological redshift weighting.  Non-finite arguments,
-    and arguments whose arithmetic leaves the float range, are refused.
+    dt = (d / c) (e_high - e_low) / e_qg, the walk's linear-order lag;
+    positive means the higher-energy photon arrives later.  Flat space, no
+    cosmological redshift weighting.  Non-finite arguments, and arguments
+    whose arithmetic leaves the float range, are refused.
     """
     for name, value in (("distance", distance), ("e_high", e_high),
                         ("e_low", e_low), ("e_qg", e_qg)):
@@ -249,21 +248,11 @@ def time_lag(distance: float, e_high: float, e_low: float, e_qg: float,
         raise ArgumentOutOfRangeError("need e_high >= e_low >= 0")
     if e_qg <= 0:
         raise ArgumentOutOfRangeError("e_qg must be positive")
-    if n not in (1, 2):
-        raise ArgumentOutOfRangeError(f"order n must be 1 or 2, got {n}")
-    if s not in (1, -1):
-        raise ArgumentOutOfRangeError(f"sign s must be +1 or -1, got {s}")
-    scale = s * (distance / PhysicalConstants().speed_of_light) * ((n + 1) / 2.0)
-    try:
-        lag = scale * (e_high**n - e_low**n) / e_qg**n
-    except (OverflowError, ZeroDivisionError):  # a power past the float range
-        lag = math.nan
+    scale = distance / PhysicalConstants().speed_of_light
+    lag = scale * (e_high - e_low) / e_qg
     if not math.isfinite(lag) or (lag == 0.0 and e_high != e_low):
-        # the same lag from energy ratios, which stay in range where powers do not
-        try:
-            lag = scale * ((e_high / e_qg)**n - (e_low / e_qg)**n)
-        except OverflowError:
-            lag = math.inf
+        # the same lag from energy ratios, in range where the product is not
+        lag = scale * (e_high / e_qg - e_low / e_qg)
     if not math.isfinite(lag):
         raise ArgumentOutOfRangeError("the time lag leaves the float range")
     return lag

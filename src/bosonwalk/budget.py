@@ -17,6 +17,8 @@ from .errors import MemoryBudgetError
 # tracemalloc peaks with about twofold margin, in bytes per
 _SURFACE_BYTES_PER_POINT = 320     # surface point: 121 at m = 48, 125 at 64
 _ANISOTROPY_BYTES_PER_POINT = 512  # anisotropy point: text or doubled grid
+_MAP_BYTES_PER_POINT = 96          # anisotropy map point: 46 at 16^2, 32 at 512^2
+_SPHERE_BYTES_PER_POINT = 64       # doubled sphere pass: grid 24, companion 16
 _BYTES_PER_AXIS_MODE = 128         # lattice axis mode: 41 in per-axis arrays
 _BYTES_PER_WINDOW_MODE = 512       # packet mode: measure 235, build 144
 _BYTES_PER_SAMPLE = 1024           # trajectory sample

@@ -1,6 +1,7 @@
 """Direction factor s and its statistics over the sphere."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonwalk import budget
 from bosonwalk.anisotropy import (
     Direction,
     MAX_VALUE,
@@ -204,3 +206,23 @@ def test_anisotropy_map_shape():
     theta, phi, s = anisotropy_map(16, 32)
     assert theta.shape == phi.shape == s.shape == (16 * 32,)
     np.testing.assert_allclose(s, s_values(theta, phi), atol=1e-15)
+
+
+@pytest.mark.parametrize("call, sizes", [
+    (anisotropy_map, ((16, 16), (64, 64), (512, 512), (16, 4096))),
+    (sphere_stats, ((64, 64), (512, 512), (512, 16), (16, 1024)))])
+def test_memory_estimate_covers_twice_the_traced_peak(monkeypatch, call, sizes):
+    # sphere_stats peaks at its doubled pass: the companion matrix of
+    # leggauss(2 n_theta) at (512, 16), the grid at (16, 1024)
+    estimates = []
+    monkeypatch.setattr(budget, "_refuse_over_budget",
+                        lambda estimate, what: estimates.append(estimate))
+    call(16, 16)  # numpy's lazy imports on a first call are not the call's
+    for size in sizes:
+        tracemalloc.start()
+        try:
+            call(*size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimates.pop() >= 2 * peak

@@ -518,7 +518,11 @@ def test_grid_memory_estimate_covers_the_traced_peak(
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert estimates.pop() >= peak
+        # the command checks its own estimate before the library checks its
+        # part, so the command's decides
+        command_estimate, *library_estimates = estimates
+        estimates.clear()
+        assert command_estimate >= max([peak, *library_estimates])
 
 
 def test_anisotropy_grid_too_coarse():

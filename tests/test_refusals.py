@@ -3,13 +3,14 @@
 import json
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonwalk import algebra, anisotropy, cli, kernel, lattice
+from bosonwalk import algebra, anisotropy, budget, cli, kernel, lattice
 from bosonwalk.bounds import (
     ExperimentRecord,
     PhysicalConstants,
@@ -21,6 +22,7 @@ from bosonwalk.errors import (
     ArgumentOutOfRangeError,
     CatalogValidationError,
     InvalidArgumentError,
+    MemoryBudgetError,
     PacketSpecError,
     SeriesOutOfRangeError,
     UndefinedCentroidError,
@@ -44,6 +46,12 @@ def _array_packet(tmp_path):
     path = tmp_path / "packet.json"
     path.write_text(json.dumps([1, 2]))
     return cli._load_packet_config(str(path))
+
+
+def _within_a_gib(call, *args):
+    """`call(*args)` under a 1 GiB memory budget, so its message is fixed."""
+    with mock.patch.object(budget, "_memory_budget", lambda: 1 << 30):
+        return call(*args)
 
 
 def _uniform_state():
@@ -205,6 +213,14 @@ REFUSALS = {
     "anisotropy map past 2**53 points": (
         lambda tmp: anisotropy.anisotropy_map(2**53 + 1, 4), ArgumentOutOfRangeError,
         f"need n_theta, n_phi <= 2**53, got {2**53 + 1}, 4"),
+    "anisotropy map over the memory budget": (
+        lambda tmp: _within_a_gib(anisotropy.anisotropy_map, 2**40, 4),
+        MemoryBudgetError, "an anisotropy map of 1099511627776 x 4 points "
+        "would need about 3.93e+05 GiB, over the 1 GiB memory budget"),
+    "sphere statistics over the memory budget": (
+        lambda tmp: _within_a_gib(anisotropy.sphere_stats, 2**22, 16),
+        MemoryBudgetError, "sphere statistics on 4194304 x 16 nodes "
+        "would need about 4.19e+06 GiB, over the 1 GiB memory budget"),
     "direction given as a string": (
         lambda tmp: anisotropy.Direction("a", 0.0), ArgumentOutOfRangeError,
         "theta a outside [0, pi]"),
@@ -230,8 +246,11 @@ REFUSALS = {
         lambda tmp: time_lag(10**400, 1.0, 0.0, 1e20), ArgumentOutOfRangeError,
         f"distance must be finite, got {10**400}"),
     "time lag past the float range": (
-        lambda tmp: time_lag(1.0, 1e308, 0.0, 1e20, n=2), ArgumentOutOfRangeError,
+        lambda tmp: time_lag(1e308, 1e308, 0.0, 1e-300), ArgumentOutOfRangeError,
         "the time lag leaves the float range"),
+    "packet file k0 of two components": (
+        lambda tmp: cli._packet_triple("k0", [0.1, 0.2]), PacketSpecError,
+        "packet field 'k0' must be a list of 3"),
     "packet x0 of two components": (
         lambda tmp: lattice.WavePacketSpec("sinc", (0.1, 0.2, 0.3), (0, 0), 2),
         PacketSpecError, "k0 and x0 must have three components"),
@@ -440,8 +459,7 @@ CALLS = {
     "bounds.PhysicalConstants": lambda d: _constants(
         PhysicalConstants(*d.draw(triples))),
     "bounds.time_lag": lambda d: _lag(time_lag(
-        *(d.draw(_choice(1.0, 1e20)) for _ in range(4)),
-        n=d.draw(_choice(1, 2)), s=d.draw(_choice(1, -1)))),
+        *(d.draw(_choice(1.0, 1e20)) for _ in range(4)))),
     "bounds.dispersion_bound": lambda d: _bound(
         lambda f: dispersion_bound(_grb(sign=1), PhysicalConstants(), rms_factor=f),
         d.draw(numbers)),

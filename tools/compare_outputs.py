@@ -63,6 +63,7 @@ def _packets() -> dict[str, dict]:
     packets["k0-inf"] = {**refusal, "k0": [math.inf, 0.0, 0.0]}
     # json evaluates the analytic velocity at the snapped k0, the zone centre
     packets["k0-snaps-to-centre"] = {**refusal, "k0": [0.01, 0.0, 0.0]}
+    packets["k0-two-components"] = {**refusal, "k0": [0.1, 0.2]}
     return packets
 
 
