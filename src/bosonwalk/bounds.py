@@ -26,7 +26,6 @@ from typing import Optional, Union
 from . import (
     CONSTANTS,
     RMS_SOLID_ANGLE,
-    RMS_UNIT_AVERAGE,
     SPREAD_MAX,
     _finite,
     budget,
@@ -41,13 +40,6 @@ from .errors import (
 
 DISPERSION = "dispersion"
 ANISOTROPY = "anisotropy"
-
-NORMALIZATIONS = {
-    "paper_rms": RMS_SOLID_ANGLE,
-    "unit_average_rms": RMS_UNIT_AVERAGE,
-    "max_spread": SPREAD_MAX,
-}
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -159,8 +151,7 @@ def _echo(record: ExperimentRecord, constants: PhysicalConstants,
 
 
 def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
-                     rms_factor: float = RMS_SOLID_ANGLE,
-                     normalization: str = "paper_rms") -> BoundResult:
+                     rms_factor: float = RMS_SOLID_ANGLE) -> BoundResult:
     """dx <= hbar c / (rms_factor * E_QG) for a linear-order record.
 
     Quadratic-order records are rejected: the walk's leading correction
@@ -186,7 +177,7 @@ def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
         experiment_id=record.id,
         delta_x_upper_bound=dx,
         ratio_to_planck=dx / constants.planck_length,
-        normalization_used=normalization,
+        normalization_used="paper_rms",
         inputs_echo=_echo(record, constants, rms_factor=rms_factor),
     )
 
@@ -322,26 +313,21 @@ def bundled_catalog_path() -> str:
 
 
 def run_catalog(records, constants: PhysicalConstants,
-                normalization: str = "paper_rms",
                 paper_compat: bool = True) -> list[CatalogEntry]:
     """Convert every applicable record; annotate the rest.
 
-    normalization is a NORMALIZATIONS key; paper_compat is as in
-    anisotropy_bound.  The defaults reproduce the published arithmetic.
-    Numeric results come first, sorted by bound ascending (tightest
-    first); entries the model cannot convert follow in input order with
-    an explanatory note.
+    Dispersion records take the solid-angle RMS factor; paper_compat is as
+    in anisotropy_bound.  Numeric results come first, sorted by bound
+    ascending (tightest first); entries the model cannot convert follow in
+    input order with an explanatory note.
     """
-    if normalization not in NORMALIZATIONS:
-        raise ArgumentOutOfRangeError(f"unknown normalization {normalization!r}")
     numeric = []
     annotated = []
     for record in records:
         try:
-            numeric.append(dispersion_bound(
-                record, constants, NORMALIZATIONS[normalization], normalization)
-                if record.kind == DISPERSION else
-                anisotropy_bound(record, constants, paper_compat=paper_compat))
+            numeric.append(
+                dispersion_bound(record, constants) if record.kind == DISPERSION
+                else anisotropy_bound(record, constants, paper_compat=paper_compat))
         except UnsupportedOrderError:
             annotated.append(UnsupportedEntry(
                 experiment_id=record.id,

@@ -132,6 +132,9 @@ def to_position(state: LatticeState) -> LatticeState:
 
 def snap_to_grid(k0, n: int) -> ReducedMomentum:
     """Round momentum components to the nearest lattice mode of size n."""
+    Lattice(n)  # refuses the sizes a lattice cannot have
+    if n > 2**53:  # past it, n is no longer exact as a float
+        raise InvalidArgumentError(f"lattice size {n} exceeds 2**53")
     k = _components(k0)
     with np.errstate(over="ignore"):
         snapped = 2.0 * np.pi * np.rint(k * n / (2.0 * np.pi)) / n

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonwalk.anisotropy import RMS_SOLID_ANGLE, SPREAD_MAX
+from bosonwalk.anisotropy import RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX
 from bosonwalk.bounds import (
-    NORMALIZATIONS,
     BoundResult,
     ExperimentRecord,
     PhysicalConstants,
@@ -294,31 +293,16 @@ def test_run_catalog_on_bundled_records():
     assert bounds == sorted(bounds)
     # tightest: the superluminal GRB record (largest energy scale)
     assert numeric[0].experiment_id == "grb221009a-linear-superluminal"
+    by_id = {r.id: r for r in records}
+    dispersion = [e for e in numeric
+                  if by_id[e.experiment_id].kind == "dispersion"]
+    assert len(dispersion) == 2
+    for e in dispersion:
+        assert e == dispersion_bound(by_id[e.experiment_id], PhysicalConstants())
+        assert e.normalization_used == "paper_rms"
     for e in annotated:
         assert "unsupported by model" in e.note
         assert e.inputs_echo["record"]["liv_order"] == 2
-
-
-def test_run_catalog_normalization_option():
-    records = [GRB_SUB]
-    default = run_catalog(records, PhysicalConstants())[0]
-    unit = run_catalog(records, PhysicalConstants(),
-                       normalization="unit_average_rms")[0]
-    assert np.isclose(unit.delta_x_upper_bound / default.delta_x_upper_bound,
-                      math.sqrt(4 * math.pi), rtol=1e-12)
-    with pytest.raises(ArgumentOutOfRangeError):
-        run_catalog(records, PhysicalConstants(), normalization="nonsense")
-
-
-def test_run_catalog_refuses_an_unknown_normalization_whatever_the_records():
-    # no record here reads the normalization, and it is still refused
-    records = [r for r in load_experiments(bundled_catalog_path())
-               if r.kind == "anisotropy"]
-    assert records
-    for catalog in (records, []):
-        with pytest.raises(ArgumentOutOfRangeError,
-                           match="^unknown normalization 'nonsense'$"):
-            run_catalog(catalog, PhysicalConstants(), normalization="nonsense")
 
 
 def test_run_catalog_empty():
@@ -486,10 +470,10 @@ catalog_records = st.lists(st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(record=_dispersion_records(),
-       normalization=st.sampled_from(sorted(NORMALIZATIONS)))
-def test_property_dispersion_bound_times_scale_is_hbar_c(record, normalization):
-    constants, rms = PhysicalConstants(), NORMALIZATIONS[normalization]
-    dx = dispersion_bound(record, constants, rms, normalization).delta_x_upper_bound
+       rms=st.sampled_from([RMS_SOLID_ANGLE, RMS_UNIT_AVERAGE, SPREAD_MAX]))
+def test_property_dispersion_bound_times_scale_is_hbar_c(record, rms):
+    constants = PhysicalConstants()
+    dx = dispersion_bound(record, constants, rms).delta_x_upper_bound
     # four roundings: r E, the quotient, and the two products here
     assert abs(dx * rms * record.e_qg_lower_bound - constants.hbar_c) \
         <= 4 * math.ulp(constants.hbar_c)

@@ -1,6 +1,9 @@
-"""The narrative scripts under demos/ run end to end against src/."""
+"""The narrative scripts under demos/ and the README quick start run end
+to end against src/."""
 
+import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +28,13 @@ def test_demo_runs_and_prints(script, tmp_path):
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start_runs():
+    # the block alone: doctest would read its closing fence as output
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.finditer(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    test = doctest.DocTestParser().get_doctest(
+        block[1], {}, "quick start", "README.md",
+        readme.count("\n", 0, block.start(1)))
+    assert doctest.DocTestRunner().run(test) == (0, 8)

@@ -127,8 +127,9 @@ def test_constants_have_one_home():
     assert list(asdict(bounds.PhysicalConstants()).items()) == list(
         bosonwalk.CONSTANTS.items())
     for name in ("RMS_UNIT_AVERAGE", "RMS_SOLID_ANGLE", "SPREAD_MAX"):
-        value = getattr(bosonwalk, name)
-        assert getattr(bounds, name) is value is getattr(anisotropy, name)
+        assert getattr(anisotropy, name) is getattr(bosonwalk, name)
+    for name in ("RMS_SOLID_ANGLE", "SPREAD_MAX"):  # the two bounds uses
+        assert getattr(bounds, name) is getattr(bosonwalk, name)
 
 
 def test_a_command_that_loads_numpy_runs_one_thread():

@@ -183,6 +183,13 @@ REFUSALS = {
     "lattice size of a float": (
         lambda tmp: lattice.Lattice(4.0), InvalidArgumentError,
         "lattice size must be even and >= 4, got 4.0"),
+    **{f"snapped momentum on a lattice of size {n!r}": (
+        lambda tmp, n=n: lattice.snap_to_grid((0.4, 0.0, 0.0), n),
+        InvalidArgumentError, f"lattice size must be even and >= 4, got {n}")
+       for n in (0, -4, 1.5, "a")},
+    "snapped momentum on a lattice past 2**53": (
+        lambda tmp: lattice.snap_to_grid((0.4, 0.0, 0.0), 2**1024),
+        InvalidArgumentError, f"lattice size {2**1024} exceeds 2**53"),
     "measured steps of a fraction": (
         lambda tmp: _measure(steps=2.5), InvalidArgumentError,
         "steps must be an integer, got 2.5"),
@@ -441,7 +448,7 @@ CALLS = {
         d.draw(momenta), d.draw(momenta), d.draw(numbers),
         helicity=d.draw(_choice(0, 1)))),
     "lattice.snap_to_grid": lambda d: _in_zone(
-        lattice.snap_to_grid(d.draw(momenta), 16)),
+        lattice.snap_to_grid(d.draw(momenta), d.draw(numbers))),
     "lattice.measure_group_velocity": lambda d: _measured(_measure(
         steps=d.draw(numbers), sample_every=d.draw(numbers))),
     "lattice.evolve_spectral": lambda d: _normalized(

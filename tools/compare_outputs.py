@@ -64,6 +64,10 @@ def _packets() -> dict[str, dict]:
     # json evaluates the analytic velocity at the snapped k0, the zone centre
     packets["k0-snaps-to-centre"] = {**refusal, "k0": [0.01, 0.0, 0.0]}
     packets["k0-two-components"] = {**refusal, "k0": [0.1, 0.2]}
+    # the order of the missing fields, and n's check before k0's
+    packets["missing-kind-n-k0"] = {
+        key: value for key, value in refusal.items() if key not in ("kind", "n")}
+    packets["n-odd-k0-nan"] = {**refusal, "n": 33, "k0": [math.nan, 0.0, 0.0]}
     return packets
 
 
