@@ -68,6 +68,13 @@ def _packets() -> dict[str, dict]:
     packets["missing-kind-n-k0"] = {
         key: value for key, value in refusal.items() if key not in ("kind", "n")}
     packets["n-odd-k0-nan"] = {**refusal, "n": 33, "k0": [math.nan, 0.0, 0.0]}
+    # degenerate k0: the arccos phase at the zone centre, and the block
+    # angle of exactly pi that the arccos form misses by 2e-8, per branch
+    packets["sinc-k0-centre"] = {
+        **refusal, "kind": "sinc", "k0": [0.01, 0.0, 0.0], "width": 2}
+    for helicity in (0, 1):
+        packets[f"block-angle-pi-{helicity}"] = {
+            **refusal, "k0": [math.pi, 0.0, math.pi - 0.05], "helicity": helicity}
     return packets
 
 
