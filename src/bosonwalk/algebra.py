@@ -71,7 +71,6 @@ def build_gamma(axis: Axis | int) -> np.ndarray:
 class ProjectorTriple:
     """Eigenprojectors of a block generator, eigenvalues (+1, 0, -1)."""
 
-    axis: Axis
     plus: np.ndarray
     zero: np.ndarray
     minus: np.ndarray
@@ -84,11 +83,9 @@ def build_projectors(axis: Axis | int) -> ProjectorTriple:
     generator cubes to itself these are exact projectors summing to the
     identity, and plus - minus = G.
     """
-    axis = _axis(axis)
     g = build_gamma(axis)
     g2 = g @ g
     return ProjectorTriple(
-        axis=axis,
         plus=(g2 + g) / 2.0,
         zero=np.eye(6, dtype=complex) - g2,
         minus=(g2 - g) / 2.0,
@@ -108,7 +105,6 @@ class ConditionReport:
     checks: tuple[ConditionCheck, ...]
     c_side: float
     c_zero: float
-    tolerance: float
     passed: bool
     max_residual: float
 
@@ -162,7 +158,6 @@ def verify_projector_conditions(tolerance: float = 1e-14) -> ConditionReport:
         checks=tuple(checks),
         c_side=c_side,
         c_zero=c_zero,
-        tolerance=tolerance,
         passed=(max_res <= tolerance and const_err <= tolerance),
         max_residual=max_res,
     )

@@ -177,7 +177,7 @@ def dispersion_bound(record: ExperimentRecord, constants: PhysicalConstants,
         experiment_id=record.id,
         delta_x_upper_bound=dx,
         ratio_to_planck=dx / constants.planck_length,
-        normalization_used="paper_rms",
+        normalization_used="paper_rms" if rms_factor == RMS_SOLID_ANGLE else "custom_rms",
         inputs_echo=_echo(record, constants, rms_factor=rms_factor),
     )
 

@@ -172,57 +172,6 @@ def mirror_phase(kappa) -> float:
     return _scalar_phase(kappa, mirror_phase_grid)
 
 
-def _nondegenerate_phases(kappa, rotations) -> tuple[float, float]:
-    """(phase, mirror_phase), refused within the margin of 0 or pi.
-
-    After both arccos angles, the block angle of each branch in `rotations`
-    (from `rotation_grids` at kappa; it sets the grid forms' `degenerate`
-    flag) is refused too: near pi the arccos form errs by ~2e-8.
-    """
-    phis = phase(kappa), mirror_phase(kappa)
-    labels = ("phase", "mirror phase")
-    checks = list(zip(labels, phis)) + [
-        (f"{label} (block angle)", float(rotations[name]["phase"]))
-        for (name, _, _), label in zip(BRANCHES, labels) if name in rotations]
-    for label, angle in checks:
-        if min(angle, math.pi - angle) < DEGENERACY_MARGIN:
-            raise DegenerateSpectrumError(
-                f"{label} = {angle!r} is within {DEGENERACY_MARGIN} of 0 "
-                "or pi; forward/backward modes merge there")
-    return phis
-
-
-@dataclass(frozen=True)
-class BranchModes:
-    """Rank-1 spectral pieces of one 3-component block of U(kappa).
-
-    forward, axis, backward are 3x3 projectors on the eigenvalues
-    exp(-i phase), 1, exp(+i phase) of this block's rotation; BRANCHES
-    locates the block inside the 6-component internal space.
-    """
-
-    name: str
-    phase: float
-    forward: np.ndarray
-    axis: np.ndarray
-    backward: np.ndarray
-
-
-def branch_decomposition(kappa) -> tuple[BranchModes, BranchModes]:
-    """Exact spectral split of U(kappa) into its two rotation branches.
-
-    Returns (primary, mirror).  Raises DegenerateSpectrumError if either
-    branch angle sits within the margin of 0 or pi, where its circular
-    modes merge.
-    """
-    grids = branch_projector_grids(*_components(kappa))
-    phis = _nondegenerate_phases(kappa, grids)
-    return tuple(
-        BranchModes(name, phi, *(grids[name][key] for key in (
-            "forward", "axis", "backward")))
-        for (name, _, _), phi in zip(BRANCHES, phis))
-
-
 def _branch(helicity_index) -> tuple[str, int, float]:
     if helicity_index not in (0, 1):
         raise ArgumentOutOfRangeError("helicity_index must be 0 or 1")
@@ -236,9 +185,20 @@ def positive_energy_vector(kappa, helicity_index: int = 0) -> np.ndarray:
     exp(-i phase(kappa)), lower block); helicity_index 1 the mirror-branch
     vector (eigenvalue exp(-i mirror_phase(kappa)), upper block).  The two
     are orthonormal.  Construction as in `forward_vector_grids`.
+
+    Raises DegenerateSpectrumError where phase, mirror_phase, or this
+    branch's block angle from `rotation_grids` (which the arccos form misses
+    by ~2e-8 near pi) lies within the margin of 0 or pi.
     """
     (name, offset, _), k = _branch(helicity_index), _components(kappa)
-    _nondegenerate_phases(kappa, rotation_grids(*k, (name,)))
+    block = float(rotation_grids(*k, (name,))[name]["phase"])
+    labels = ("phase", "mirror phase")
+    for label, angle in (*zip(labels, (phase(k), mirror_phase(k))),
+                         (f"{labels[int(helicity_index)]} (block angle)", block)):
+        if min(angle, math.pi - angle) < DEGENERACY_MARGIN:
+            raise DegenerateSpectrumError(
+                f"{label} = {angle!r} is within {DEGENERACY_MARGIN} of 0 "
+                "or pi; forward/backward modes merge there")
     return np.pad(forward_vector_grids(*k, helicity_index), (offset, 3 - offset))
 
 

@@ -69,7 +69,7 @@ class Lattice:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral) or self.n < 4 or self.n % 2:
             raise InvalidArgumentError(
-                f"lattice size must be even and >= 4, got {self.n}")
+                f"lattice size must be even and >= 4, got {self.n!r}")
 
     def mode_values(self) -> np.ndarray:
         """Reduced momentum carried by each FFT index, wrapped to (-pi, pi]."""

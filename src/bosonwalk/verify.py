@@ -142,7 +142,7 @@ def _check_kernel(results, rng):
     k = _safe_momenta(rng, 15)
     u, grids = kernel.kernel_grid(*k.T), kernel.branch_projector_grids(*k.T)
     rebuilt = np.zeros_like(u)
-    # eigenphases from the arccos forms, as branch_decomposition takes them
+    # eigenphases from the arccos forms, not the projector grids' block angles
     for (name, o, _), phi in zip(kernel.BRANCHES, _phases(k)):
         lam, g = np.exp(-1j * phi)[:, None, None], grids[name]
         rebuilt[:, o:o + 3, o:o + 3] = (lam * g["forward"] + g["axis"]

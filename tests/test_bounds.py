@@ -83,6 +83,14 @@ def test_grb_bound_with_exact_rms_default():
     assert res.inputs_echo["record"]["id"] == "grb-sub"
 
 
+def test_only_the_paper_factor_is_labelled_paper_rms():
+    # the label agrees with the echoed factor; 0.346 is the paper's rounded
+    for rms in (0.346, RMS_UNIT_AVERAGE, SPREAD_MAX):
+        res = dispersion_bound(GRB_SUB, PhysicalConstants(), rms)
+        assert res.normalization_used == "custom_rms"
+        assert res.inputs_echo["rms_factor"] == rms
+
+
 def test_superluminal_record_is_tighter():
     sub = dispersion_bound(GRB_SUB, PhysicalConstants())
     sup = dispersion_bound(GRB_SUPER, PhysicalConstants())

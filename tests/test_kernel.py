@@ -21,7 +21,6 @@ from bosonwalk.errors import (
 from bosonwalk.kernel import (
     BRANCHES,
     ReducedMomentum,
-    branch_decomposition,
     branch_projector_grids,
     forward_vector_grids,
     group_velocity_analytic,
@@ -44,15 +43,16 @@ from bosonwalk.lattice import Lattice, snap_to_grid
 
 
 def random_momenta(count, rng, margin=0.15):
-    """Momenta kept away from the degenerate shells for stable spectra."""
+    """Momenta kept away from the degenerate shells for stable spectra, as
+    rows of a (count, 3) array."""
     out = []
     while len(out) < count:
         k = ReducedMomentum.wrap(*rng.uniform(-np.pi, np.pi, size=3))
         phases = (phase(k), mirror_phase(k))
         # both branch phases clear of 0 and pi, where eigenvalues collide
         if min(min(p, np.pi - p) for p in phases) > margin:
-            out.append(k)
-    return out
+            out.append(k.as_array())
+    return np.array(out)
 
 
 # ---------------------------------------------------------------- wrapping
@@ -190,102 +190,102 @@ def test_phases_coincide_when_any_component_vanishes():
 
 # ---------------------------------------------------------------- spectrum
 
+def _phases(k):
+    """(phase, mirror_phase) at momenta k of shape (..., 3), by the grid forms."""
+    return phase_grid(*k.T), mirror_phase_grid(*k.T)
+
+
 def _splitting(k):
     """|e^{-i phase} - e^{-i mirror_phase}|: how far the forward branches part."""
-    return abs(np.exp(-1j * phase(k)) - np.exp(-1j * mirror_phase(k)))
+    phi, mirror = _phases(k)
+    return np.abs(np.exp(-1j * phi) - np.exp(-1j * mirror))
+
+
+def _rebuild(k, phases):
+    """U at momenta k (count, 3) rebuilt from both branches' projector grids,
+    each branch turning by its entry of phases."""
+    grids = branch_projector_grids(*k.T)
+    rebuilt = np.zeros((len(k), 6, 6), dtype=complex)
+    for (name, offset, _), phi in zip(BRANCHES, phases):
+        lam, g = np.exp(-1j * phi)[:, None, None], grids[name]
+        rebuilt[:, offset:offset + 3, offset:offset + 3] = (
+            lam * g["forward"] + g["axis"] + np.conj(lam) * g["backward"])
+    return rebuilt
 
 
 def _single_phase_rebuild(k):
     """U(k) rebuilt from both branches' projectors with the primary phase alone."""
-    lam = np.exp(-1j * phase(k))
-    rebuilt = np.zeros((6, 6), dtype=complex)
-    for (_, offset, _), b in zip(BRANCHES, branch_decomposition(k)):
-        rebuilt[offset:offset + 3, offset:offset + 3] = (
-            lam * b.forward + b.axis + np.conj(lam) * b.backward)
-    return rebuilt
+    phi = phase_grid(*k.T)
+    return _rebuild(k, (phi, phi))
+
+
+def _by_angle(eigenvalues):
+    return np.take_along_axis(
+        eigenvalues, np.argsort(np.angle(eigenvalues), axis=-1), axis=-1)
 
 
 def test_eigenvalue_multiset_against_general_solver():
-    # {e^{-+i phase}, e^{-+i mirror_phase}, 1, 1}, the phases as the branches
-    # carry them
-    rng = np.random.default_rng(12)
-    for k in random_momenta(100, rng):
-        primary, mirror = branch_decomposition(k)
-        assert (primary.phase, mirror.phase) == (phase(k), mirror_phase(k))
-        ours = np.exp(-1j * np.array([primary.phase, mirror.phase, 0.0, 0.0,
-                                      -mirror.phase, -primary.phase]))
-        reference = np.linalg.eigvals(kernel_closed_form(k))
-        reference = reference[np.argsort(np.angle(reference))]
-        ours = ours[np.argsort(np.angle(ours))]
-        np.testing.assert_allclose(ours, reference, atol=1e-10)
+    # {e^{-+i phase}, e^{-+i mirror_phase}, 1, 1}
+    k = random_momenta(100, np.random.default_rng(12))
+    phi, mirror = _phases(k)
+    zero = np.zeros_like(phi)
+    ours = np.exp(-1j * np.stack([phi, mirror, zero, zero, -mirror, -phi], axis=-1))
+    reference = np.linalg.eigvals(kernel_grid(*k.T))
+    np.testing.assert_allclose(_by_angle(ours), _by_angle(reference), atol=1e-10)
 
 
 def test_branch_phases_split_at_generic_momentum():
     # the two 3x3 blocks carry different phases unless a momentum
     # component sits at 0 or pi; the splitting is cubic in |kappa|
-    splitting = _splitting(ReducedMomentum.wrap(0.9, 0.8, 0.7))
+    splitting = _splitting(np.array([0.9, 0.8, 0.7]))
     assert splitting > 1e-3
-    ratio = splitting / _splitting(ReducedMomentum.wrap(0.09, 0.08, 0.07))
+    ratio = splitting / _splitting(np.array([0.09, 0.08, 0.07]))
     assert ratio > 100  # roughly (10)^3
 
 
 def test_branch_eigen_equations():
-    rng = np.random.default_rng(14)
-    for k in random_momenta(40, rng):
-        u = kernel_closed_form(k)
-        primary, mirror = branch_decomposition(k)
-        for branch, offset in ((primary, 3), (mirror, 0)):
-            block = u[offset:offset + 3, offset:offset + 3]
-            lam = np.exp(-1j * branch.phase)
-            np.testing.assert_allclose(block @ branch.forward,
-                                       lam * branch.forward, atol=1e-12)
-            np.testing.assert_allclose(block @ branch.axis,
-                                       branch.axis, atol=1e-12)
-            np.testing.assert_allclose(block @ branch.backward,
-                                       np.conj(lam) * branch.backward, atol=1e-12)
+    k = random_momenta(40, np.random.default_rng(14))
+    u, grids = kernel_grid(*k.T), branch_projector_grids(*k.T)
+    for (name, offset, _), phi in zip(BRANCHES, _phases(k)):
+        block = u[:, offset:offset + 3, offset:offset + 3]
+        lam, g = np.exp(-1j * phi)[:, None, None], grids[name]
+        for key, eigenvalue in (("forward", lam), ("axis", 1.0),
+                                ("backward", np.conj(lam))):
+            np.testing.assert_allclose(block @ g[key], eigenvalue * g[key],
+                                       atol=1e-12)
 
 
 def test_branch_projectors_resolve_identity():
-    rng = np.random.default_rng(15)
-    for k in random_momenta(40, rng):
-        for branch in branch_decomposition(k):
-            total = branch.forward + branch.axis + branch.backward
-            np.testing.assert_allclose(total, np.eye(3), atol=1e-11)
-            for p in (branch.forward, branch.axis, branch.backward):
-                np.testing.assert_allclose(p @ p, p, atol=1e-11)
+    k = random_momenta(40, np.random.default_rng(15))
+    for g in branch_projector_grids(*k.T).values():
+        total = g["forward"] + g["axis"] + g["backward"]
+        np.testing.assert_allclose(total - np.eye(3), 0.0, atol=1e-11)
+        for p in (g["forward"], g["axis"], g["backward"]):
+            np.testing.assert_allclose(p @ p, p, atol=1e-11)
 
 
 def test_aggregated_projectors_and_reconstruction():
     # each branch projector has rank 1, so forward, stationary and backward
     # each span two modes of U; one phase for both misses U by at most the
     # splitting
-    rng = np.random.default_rng(16)
-    for k in random_momenta(30, rng):
-        for branch in branch_decomposition(k):
-            for p in (branch.forward, branch.axis, branch.backward):
-                assert np.isclose(np.trace(p).real, 1.0, atol=1e-11)
-        resid = np.max(np.abs(kernel_closed_form(k) - _single_phase_rebuild(k)))
-        assert resid <= _splitting(k) + 1e-11
+    k = random_momenta(30, np.random.default_rng(16))
+    for g in branch_projector_grids(*k.T).values():
+        for p in (g["forward"], g["axis"], g["backward"]):
+            np.testing.assert_allclose(np.trace(p, axis1=-2, axis2=-1).real, 1.0,
+                                       atol=1e-11)
+    resid = np.max(np.abs(kernel_grid(*k.T) - _single_phase_rebuild(k)), axis=(-2, -1))
+    assert np.all(resid <= _splitting(k) + 1e-11)
 
 
 def test_reconstruction_exact_with_both_branch_phases():
-    rng = np.random.default_rng(17)
-    for k in random_momenta(30, rng):
-        u = kernel_closed_form(k)
-        primary, mirror = branch_decomposition(k)
-        rebuilt = np.zeros((6, 6), dtype=complex)
-        for branch, offset in ((primary, 3), (mirror, 0)):
-            lam = np.exp(-1j * branch.phase)
-            block = (lam * branch.forward + branch.axis
-                     + np.conj(lam) * branch.backward)
-            rebuilt[offset:offset + 3, offset:offset + 3] = block
-        np.testing.assert_allclose(rebuilt, u, atol=1e-11)
+    k = random_momenta(30, np.random.default_rng(17))
+    np.testing.assert_allclose(_rebuild(k, _phases(k)), kernel_grid(*k.T), atol=1e-11)
 
 
 def test_reconstruction_residual_vanishes_without_splitting():
-    k = ReducedMomentum.wrap(0.7, 0.0, 0.4)
+    k = np.array([[0.7, 0.0, 0.4]])
     assert _splitting(k) <= 1e-14
-    np.testing.assert_allclose(_single_phase_rebuild(k), kernel_closed_form(k),
+    np.testing.assert_allclose(_single_phase_rebuild(k), kernel_grid(*k.T),
                                rtol=0, atol=1e-12)
 
 
@@ -313,21 +313,20 @@ def test_helicity_vectors_occupy_disjoint_blocks():
 
 def test_degenerate_momentum_raises():
     with pytest.raises(DegenerateSpectrumError):
-        branch_decomposition(ReducedMomentum.wrap(0.0, 0.0, 0.0))
+        positive_energy_vector(ReducedMomentum.wrap(0.0, 0.0, 0.0))
     with pytest.raises(DegenerateSpectrumError):
         group_velocity_analytic(ReducedMomentum.wrap(0.0, 0.0, 0.0))
     # the arccos angles are tested first, so a refusal they make keeps
     # its wording
     with pytest.raises(DegenerateSpectrumError, match="^phase = 0.0 is within"):
-        branch_decomposition(ReducedMomentum.wrap(np.pi, np.pi, np.pi))
+        positive_energy_vector(ReducedMomentum.wrap(np.pi, np.pi, np.pi))
     # the block angle is exactly pi here, but the arccos form reads
     # 3.1415926325, 2e-8 short of it: only the quaternion angle fires
     k = ReducedMomentum.wrap(np.pi, 0.0, np.pi - 0.05)
     assert math.pi - phase(k) > 1e-8
-    for scalar_api in (positive_energy_vector, branch_decomposition):
-        with pytest.raises(DegenerateSpectrumError, match=(
-                r"^phase \(block angle\) = 3.141592653589793 is within")):
-            scalar_api(k)
+    with pytest.raises(DegenerateSpectrumError, match=(
+            r"^phase \(block angle\) = 3.141592653589793 is within")):
+        positive_energy_vector(k)
     with pytest.raises(DegenerateSpectrumError,
                        match=r"^mirror phase \(block angle\) = "):
         positive_energy_vector(k, 1)
@@ -496,15 +495,8 @@ def test_branch_projector_grids_match_scalar():
     for i in range(2):
         for j in range(3):
             k = ReducedMomentum.wrap(kx[i, j], ky[i, j], kz[i, j])
-            if grids["primary"]["degenerate"][i, j]:
-                continue
-            primary, mirror = branch_decomposition(k)
-            for name, branch in (("primary", primary), ("mirror", mirror)):
-                g = grids[name]
-                assert np.isclose(g["phase"][i, j], branch.phase, atol=1e-12)
-                for key in ("forward", "axis", "backward"):
-                    np.testing.assert_allclose(g[key][i, j],
-                                               getattr(branch, key), atol=1e-11)
+            for name, scalar in (("primary", phase), ("mirror", mirror_phase)):
+                assert np.isclose(grids[name]["phase"][i, j], scalar(k), atol=1e-12)
 
 
 @pytest.mark.parametrize("grids", [

@@ -183,9 +183,13 @@ REFUSALS = {
     "lattice size of a float": (
         lambda tmp: lattice.Lattice(4.0), InvalidArgumentError,
         "lattice size must be even and >= 4, got 4.0"),
+    # a string size is quoted, not read as the number it spells
+    "lattice size of a string": (
+        lambda tmp: lattice.Lattice("16"), InvalidArgumentError,
+        "lattice size must be even and >= 4, got '16'"),
     **{f"snapped momentum on a lattice of size {n!r}": (
         lambda tmp, n=n: lattice.snap_to_grid((0.4, 0.0, 0.0), n),
-        InvalidArgumentError, f"lattice size must be even and >= 4, got {n}")
+        InvalidArgumentError, f"lattice size must be even and >= 4, got {n!r}")
        for n in (0, -4, 1.5, "a")},
     "snapped momentum on a lattice past 2**53": (
         lambda tmp: lattice.snap_to_grid((0.4, 0.0, 0.0), 2**1024),
@@ -321,12 +325,6 @@ def _in_zone(m):
     assert all(-math.pi < c <= math.pi for c in (m.kx, m.ky, m.kz)), m
 
 
-def _branches(modes):
-    for b in modes:
-        _angle(b.phase)
-        _finite(b.forward, b.axis, b.backward)
-
-
 def _unit_vector(v):
     assert v.shape == (6,) and abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
@@ -424,8 +422,6 @@ CALLS = {
         kernel.kernel_closed_form(d.draw(momenta))),
     "kernel.kernel_exponential": lambda d: _unitary(
         kernel.kernel_exponential(d.draw(momenta))),
-    "kernel.branch_decomposition": lambda d: _branches(
-        kernel.branch_decomposition(d.draw(momenta))),
     "kernel.positive_energy_vector": lambda d: _unit_vector(
         kernel.positive_energy_vector(d.draw(momenta), d.draw(_choice(0, 1)))),
     "kernel.group_velocity_analytic": lambda d: _velocity(
