@@ -164,7 +164,7 @@ def _surface_chunks(m: int, fmt: str):
                ',\n    "speed": ', 4, "\n  },\n"]
 
     table = kernel.surface_table(m)
-    axis = list(map(number, table["kz"][:m].tolist()))
+    axis = list(map(number, table["axis"].tolist()))
     degenerate = table["degenerate"].reshape(m, -1)
     bits = np.stack([table[k] for k in values]).view(np.int64).ravel()
     del table

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Axis, build_gamma
 from .errors import (
     ArgumentOutOfRangeError,
     DegenerateSpectrumError,
@@ -48,9 +47,6 @@ DEGENERACY_MARGIN = 1e-9
 # (branch, offset of its 3-component block in the internal space, sign):
 # a branch's block at kappa is the upper (mirror) block at sign * kappa
 BRANCHES = (("primary", 3, -1.0), ("mirror", 0, 1.0))
-
-_GAMMA = tuple(build_gamma(a) for a in Axis)
-_I6 = np.eye(6, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -106,16 +102,16 @@ def kernel_closed_form(kappa) -> np.ndarray:
     return kernel_grid(*_components(kappa))
 
 
-def _axis_factor(axis: int, theta: float) -> np.ndarray:
-    # exp(-i theta G) = I - i G sin(theta) + G^2 (cos(theta) - 1), since G^3 = G.
-    g = _GAMMA[axis]
-    return _I6 - 1j * math.sin(theta) * g + (math.cos(theta) - 1.0) * (g @ g)
-
-
 def kernel_exponential(kappa) -> np.ndarray:
     """The step unitary as a product of three single-axis exponentials."""
-    kx, ky, kz = _components(kappa)
-    return _axis_factor(0, kx) @ _axis_factor(1, ky) @ _axis_factor(2, kz)
+    from .algebra import build_gamma
+    factors = []
+    for axis, theta in enumerate(_components(kappa)):
+        # exp(-i theta G) = I - i G sin(theta) + G^2 (cos(theta) - 1), since G^3 = G
+        g = build_gamma(axis)
+        factors.append(np.eye(6, dtype=complex) - 1j * math.sin(theta) * g
+                       + (math.cos(theta) - 1.0) * (g @ g))
+    return factors[0] @ factors[1] @ factors[2]
 
 
 def _versine_arg(kx, ky, kz, helicity: int = 0):
@@ -446,15 +442,16 @@ def rotation_grids(kx, ky, kz, names=("primary", "mirror")):
 def surface_table(resolution: int) -> dict[str, np.ndarray]:
     """Dispersion surface over an inclusive uniform grid of the zone.
 
-    Rows run lexicographically in (kx, ky, kz).  Velocity columns are NaN
-    on degenerate points, which the `degenerate` column flags.
+    'axis' (m,) holds the grid values of each momentum component; the other
+    columns have m^3 rows, run lexicographically in (kx, ky, kz).  Velocity
+    columns are NaN on degenerate points, which the `degenerate` column flags.
     """
     if not (isinstance(resolution, numbers.Integral) and 2 <= resolution <= 512):
         raise ArgumentOutOfRangeError(
             f"resolution {resolution!r} outside [2, 512]")
     # on open axes each sine and cosine is taken m times, not m^3
-    grids = np.ix_(*[np.linspace(-math.pi, math.pi, resolution)] * 3)
-    columns = (*np.broadcast_arrays(*grids), phase_grid(*grids),
-               *velocity_grid(*grids))
-    keys = ("kx", "ky", "kz", "phase", "vx", "vy", "vz", "speed", "degenerate")
-    return {key: column.ravel() for key, column in zip(keys, columns)}
+    axis = np.linspace(-math.pi, math.pi, resolution)
+    grids = np.ix_(axis, axis, axis)
+    columns = (phase_grid(*grids), *velocity_grid(*grids))
+    keys = ("phase", "vx", "vy", "vz", "speed", "degenerate")
+    return {"axis": axis} | {key: column.ravel() for key, column in zip(keys, columns)}

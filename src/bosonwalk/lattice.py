@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _finite, budget
-from .algebra import Axis, build_projectors
 from .errors import (
     BasisMismatchError,
     InvalidArgumentError,
@@ -53,8 +52,6 @@ from .kernel import (
 
 POSITION = "position"
 MOMENTUM = "momentum"
-
-_TRIPLES = tuple(build_projectors(a) for a in Axis)
 
 # packet amplitude factors below this fraction of their peak are dropped
 AMPLITUDE_CUT = 1e-16
@@ -349,9 +346,8 @@ def evolve_spectral(state: LatticeState, steps: int) -> LatticeState:
     return to_position(out) if came_from_position else out
 
 
-def _apply_axis_factor(amp: np.ndarray, axis: int) -> np.ndarray:
-    """One axis factor: shift the +/0/- projector components by +1/0/-1."""
-    t = _TRIPLES[axis]
+def _apply_axis_factor(amp: np.ndarray, axis: int, t) -> np.ndarray:
+    """One axis factor: shift the +/0/- components of triple t by +1/0/-1."""
     plus = amp @ t.plus.T
     zero = amp @ t.zero.T
     minus = amp @ t.minus.T
@@ -362,9 +358,10 @@ def evolve_direct(state: LatticeState, steps: int) -> LatticeState:
     """Advance by explicit projected shifts in position space.
 
     Applies the axis factors in order z, y, x each step.  Slower than
-    evolve_spectral but touches no Fourier transform; serves as the
-    independent evolution route.
+    evolve_spectral; the steps take no Fourier transform, though a momentum
+    input takes one each way.  The independent evolution route.
     """
+    from .algebra import build_projectors
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise InvalidArgumentError(f"steps must be a nonnegative integer, got {steps}")
     if steps > 2**53:  # the step counts evolve_spectral takes
@@ -372,9 +369,10 @@ def evolve_direct(state: LatticeState, steps: int) -> LatticeState:
     came_from_momentum = state.basis == MOMENTUM
     work = to_position(state) if came_from_momentum else state
     amp = work.amplitudes.copy()
+    triples = [build_projectors(axis) for axis in range(3)]
     for _ in range(steps):
         for axis in (2, 1, 0):
-            amp = _apply_axis_factor(amp, axis)
+            amp = _apply_axis_factor(amp, axis, triples[axis])
     out = LatticeState(state.lattice, POSITION, amp)
     return to_momentum(out) if came_from_momentum else out
 

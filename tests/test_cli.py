@@ -112,6 +112,10 @@ def reference_surface(m, fmt):
     """The surface text written one row at a time: `.17g` CSV cells, and
     json.dumps over a list of one dict per row."""
     t = surface_table(m)
+    # the coordinates of each row, lexicographic in (kx, ky, kz)
+    a = t.pop("axis")
+    t.update(zip(("kx", "ky", "kz"),
+                 (g.ravel() for g in np.meshgrid(a, a, a, indexing="ij"))))
     if fmt == "csv":
         lines = ["kx,ky,kz,phase,vx,vy,vz,speed,degenerate"]
         for j in range(t["kx"].size):

@@ -555,15 +555,24 @@ def test_rotation_grids_evaluate_only_the_named_branches(names):
             np.testing.assert_array_equal(value, both[name][key])
 
 
+def _table_coordinates(table):
+    """The kx, ky and kz of each table row, rebuilt from its axis."""
+    axis = table["axis"]
+    return [g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")]
+
+
 def test_surface_table_shape_and_order():
     table = surface_table(3)
-    assert len(table["kx"]) == 27
     vals = np.linspace(-np.pi, np.pi, 3)
-    # lexicographic in (kx, ky, kz)
-    np.testing.assert_allclose(table["kx"][:9], vals[0])
-    np.testing.assert_allclose(table["ky"][:3], vals[0])
-    np.testing.assert_allclose(table["kz"][:3], vals)
-    center = 13  # index of (0, 0, 0)
+    assert table["axis"].tobytes() == vals.tobytes()
+    assert len(table["phase"]) == 27
+    # lexicographic in (kx, ky, kz): (0, 0, 0) is row 13, and the rows
+    # before it run through kz fastest
+    kx, ky, kz = _table_coordinates(table)
+    np.testing.assert_allclose(kz[:3], vals)
+    np.testing.assert_allclose(kx[:9], vals[0])
+    center = 13
+    assert kx[center] == ky[center] == kz[center] == 0.0
     assert table["degenerate"][center]
     assert np.isnan(table["vx"][center])
 
@@ -575,10 +584,12 @@ def test_surface_table_is_bitwise_the_meshgrid_evaluation(m):
     axis = np.linspace(-math.pi, math.pi, m)
     kx, ky, kz = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
     expected = dict(zip(
-        ("kx", "ky", "kz", "phase", "vx", "vy", "vz", "speed", "degenerate"),
-        (kx, ky, kz, phase_grid(kx, ky, kz), *velocity_grid(kx, ky, kz))))
+        ("phase", "vx", "vy", "vz", "speed", "degenerate"),
+        (phase_grid(kx, ky, kz), *velocity_grid(kx, ky, kz))))
     table = surface_table(m)
-    assert list(table) == list(expected)
+    assert list(table) == ["axis", *expected]
+    assert table["axis"].shape == (m,)
+    assert table["axis"].tobytes() == axis.tobytes()
     for key, column in expected.items():
         assert table[key].dtype == column.dtype, key
         assert table[key].shape == (m**3,), key
@@ -594,8 +605,8 @@ def test_surface_table_resolution_bounds():
 
 def test_surface_contains_quarter_zone_point():
     table = surface_table(5)  # includes pi/2 values
-    match = (np.isclose(table["kx"], np.pi / 2) & np.isclose(table["ky"], np.pi / 2)
-             & np.isclose(table["kz"], np.pi / 2))
+    match = np.logical_and.reduce(
+        [np.isclose(k, np.pi / 2) for k in _table_coordinates(table)])
     assert match.sum() == 1
     i = int(np.argmax(match))
     assert np.isclose(table["phase"][i], np.pi / 2, atol=1e-13)

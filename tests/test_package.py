@@ -1,6 +1,7 @@
 """Package import behaviour: the lazy __init__, the CLI's BLAS thread pin,
 and that every submodule imports cleanly on its own."""
 
+import hashlib
 import json
 import os
 import pkgutil
@@ -108,9 +109,11 @@ CLI_MODULES = ["bosonwalk", "bosonwalk.budget", "bosonwalk.cli",
     (["--version"], []),
     (["bounds", "--format", "csv"], ["bounds"]),
     (["anisotropy", "--grid", "16", "--format", "json"], ["anisotropy"]),
-    (["surface", "--grid", "4", "--format", "json"], ["algebra", "kernel"]),
-    (["propagate", "--packet", "{packet}"], ["algebra", "kernel", "lattice"]),
-], ids=["version", "bounds", "anisotropy", "surface", "propagate"])
+    (["surface", "--grid", "4", "--format", "json"], ["kernel"]),
+    (["propagate", "--packet", "{packet}"], ["kernel", "lattice"]),
+    (["verify", "--seed", "0"],
+     ["algebra", "anisotropy", "bounds", "kernel", "lattice", "verify"]),
+], ids=["version", "bounds", "anisotropy", "surface", "propagate", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     packet = tmp_path / "packet.json"
     packet.write_text(json.dumps({
@@ -120,6 +123,30 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     code, _, _, loaded = fresh(RUN_PROBE % (argv,))
     assert code == 0
     assert loaded == sorted(CLI_MODULES + [f"bosonwalk.{m}" for m in modules])
+
+
+# the two oracle routes, which alone outside verify read the algebra
+ORACLES = {
+    "kernel_exponential": "kernel.kernel_exponential([0.3, -1.2, 2.5])",
+    "evolve_direct": "lattice.evolve_direct(lattice.to_momentum(lattice.random_state("
+                     "lattice.Lattice(4), np.random.default_rng(1))), 3).amplitudes",
+}
+
+
+@pytest.mark.parametrize("call", ORACLES.values(), ids=ORACLES.keys())
+def test_an_oracle_loads_the_algebra_when_it_runs(call):
+    from bosonwalk import kernel, lattice
+    import numpy as np
+    before, after, digest = fresh(
+        "import hashlib, json, sys\nimport numpy as np\n"
+        "from bosonwalk import kernel, lattice\n"
+        "before = 'bosonwalk.algebra' in sys.modules\n"
+        f"out = {call}\n"
+        "print(json.dumps([before, 'bosonwalk.algebra' in sys.modules,"
+        " hashlib.sha256(out.tobytes()).hexdigest()]))")
+    expected = eval(call, {"kernel": kernel, "lattice": lattice, "np": np})
+    assert (before, after) == (False, True)
+    assert digest == hashlib.sha256(expected.tobytes()).hexdigest()
 
 
 def test_constants_have_one_home():
@@ -145,8 +172,8 @@ def test_submodules_load_on_first_access():
     seen = fresh("import json\nimport bosonwalk\n"
                  "table = bosonwalk.kernel.surface_table(2)\n"
                  "print(json.dumps([bosonwalk.kernel.__name__,"
-                 " int(table['kx'].size)]))")
-    assert seen == ["bosonwalk.kernel", 8]
+                 " int(table['axis'].size), int(table['phase'].size)]))")
+    assert seen == ["bosonwalk.kernel", 2, 8]
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         bosonwalk.nonexistent
 

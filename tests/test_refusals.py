@@ -407,6 +407,7 @@ def _conditions(report):
 
 
 def _surface(m, table):
+    assert table.pop("axis").shape == (m,)
     assert all(column.shape == (m**3,) for column in table.values())
 
 
