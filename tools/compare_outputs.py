@@ -88,6 +88,14 @@ CATALOG = [
     {"id": "resonator", "kind": "anisotropy", "source": "test",
      "delta_c_over_c": 2.5e-17, "wavelength": 1.55e-6},
 ]
+# a third catalog whose ids hold a double quote and a comma, which a csv
+# cell quotes and whose quote it doubles
+QUOTED_CATALOG = [
+    {"id": 'GRB "A", linear', "kind": "dispersion", "source": "test",
+     "e_qg_lower_bound": 1.1e20, "liv_order": 1, "sign": 1},
+    {"id": 'cavity "B", 1550 nm', "kind": "anisotropy", "source": "test",
+     "delta_c_over_c": 9.2e-19, "wavelength": 1.55e-6},
+]
 
 
 def invocations() -> list[tuple[str, ...]]:
@@ -101,6 +109,7 @@ def invocations() -> list[tuple[str, ...]]:
             runs.append(("bounds", "--format", fmt, compat))
             runs.append(("bounds", "--experiments", "catalog.json",
                          "--format", fmt, compat))
+        runs.append(("bounds", "--experiments", "quoted.json", "--format", fmt))
         for grid in ("16", "64"):
             runs.append(("anisotropy", "--grid", grid, "--format", fmt))
         # 2: all zone corners; 7: odd, with signed zeros and degenerate
@@ -119,6 +128,7 @@ def _work_directory(path: Path) -> Path:
     for name, packet in _packets().items():
         (path / f"{name}.json").write_text(json.dumps(packet))
     (path / "catalog.json").write_text(json.dumps(CATALOG))
+    (path / "quoted.json").write_text(json.dumps(QUOTED_CATALOG))
     return path
 
 
