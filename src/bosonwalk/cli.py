@@ -54,7 +54,18 @@ PACKET_FIELDS = ("kind", "n", "k0", "x0", "width", "helicity",
 
 
 _NUMBER = "{:.17g}"  # a CSV number
-_fmt = _NUMBER.format
+
+
+def _csv_text(rows) -> str:
+    """The rows as newline-ended CSV lines: float cells (numpy float64 too) as
+    _NUMBER; csv quotes a cell holding a comma, quote or line break."""
+    import csv
+    import io
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [_NUMBER.format(c) if isinstance(c, float) else c for c in row]
+        for row in rows)
+    return buffer.getvalue()
 
 
 def _json_text(value) -> str:
@@ -289,15 +300,10 @@ def cmd_propagate(args) -> int:
     measured = lattice.measure_group_velocity(
         lat, spec, steps=steps, sample_every=sample_every)
     if args.format == "csv":
-        lines = ["step,cx,cy,cz,sx,sy,sz,norm"]
         t = measured.trajectory
-        for i, step in enumerate(t.steps):
-            cells = [str(int(step))]
-            cells += [_fmt(v) for v in t.positions[i]]
-            cells += [_fmt(v) for v in t.spreads[i]]
-            cells.append(_fmt(t.norms[i]))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+        text = _csv_text([("step", "cx", "cy", "cz", "sx", "sy", "sz", "norm"),
+                          *([int(step), *c, *s, norm] for step, c, s, norm
+                            in zip(t.steps, t.positions, t.spreads, t.norms))])
     else:
         k0 = lattice.snap_to_grid(spec.k0, lat.n)
         analytic = kernel.group_velocity_analytic(k0.as_array())
@@ -329,11 +335,7 @@ def cmd_anisotropy(args) -> int:
     budget._refuse_over_budget(m * m * budget._ANISOTROPY_BYTES_PER_POINT,
                                f"an anisotropy grid of {m}^2 points")
     if args.format == "csv":
-        theta, phi, s = anisotropy_map(m, m)
-        lines = ["theta,phi,s"]
-        lines += [f"{_fmt(t)},{_fmt(p)},{_fmt(v)}"
-                  for t, p, v in zip(theta, phi, s)]
-        text = "\n".join(lines) + "\n"
+        text = _csv_text([("theta", "phi", "s"), *zip(*anisotropy_map(m, m))])
     else:
         from dataclasses import asdict
         text = _json_text(asdict(sphere_stats(m, m)))
@@ -351,19 +353,13 @@ def cmd_bounds(args) -> int:
     entries = run_catalog(records, PhysicalConstants(),
                           paper_compat=args.paper_compat)
     if args.format == "csv":
-        import csv
-        import io
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["id", "kind", "delta_x_m", "ratio_to_planck",
-                         "normalization"])
+        rows = [("id", "kind", "delta_x_m", "ratio_to_planck", "normalization")]
         for e in entries:
-            bound = ([_fmt(e.delta_x_upper_bound), _fmt(e.ratio_to_planck),
+            bound = ([e.delta_x_upper_bound, e.ratio_to_planck,
                       e.normalization_used] if isinstance(e, BoundResult)
                      else ["", "", e.note])
-            writer.writerow([e.experiment_id, e.inputs_echo["record"]["kind"],
-                             *bound])
-        text = buffer.getvalue()
+            rows.append([e.experiment_id, e.inputs_echo["record"]["kind"], *bound])
+        text = _csv_text(rows)
     else:
         from dataclasses import asdict
         text = _json_text([asdict(e) for e in entries])

@@ -390,15 +390,18 @@ def _shifted_overlaps(amp: np.ndarray) -> np.ndarray:
 
 
 def _circular_stats(overlaps: np.ndarray, weight: float, n: int):
-    """Per-axis circular mean, spread, and resultant; weight is the total
-    probability the overlaps were summed over."""
+    """Per-axis circular mean and spread from overlaps summed over probability
+    `weight`; UndefinedCentroidError where any axis's resultant is < 1e-6."""
     z = overlaps / weight
     resultants = np.minimum(np.abs(z), 1.0)
+    if np.any(resultants < 1e-6):
+        raise UndefinedCentroidError(
+            "packet spread out too far for a defined centroid")
     centroids = (np.angle(z) * n / (2.0 * np.pi)) % n
     centroids[centroids == n] = 0.0  # a rounding error below the real axis
     spreads = (n / (2.0 * np.pi)) * np.sqrt(np.maximum(
-        -2.0 * np.log(np.maximum(resultants, 1e-300)), 0.0))
-    return centroids, spreads, resultants
+        -2.0 * np.log(resultants), 0.0))
+    return centroids, spreads
 
 
 def centroid(state: LatticeState) -> np.ndarray:
@@ -406,12 +409,8 @@ def centroid(state: LatticeState) -> np.ndarray:
     if state.basis != POSITION:
         raise BasisMismatchError("centroid expects a position-basis state")
     amp = to_momentum(state).amplitudes
-    centroids, _, resultants = _circular_stats(
-        _shifted_overlaps(amp), np.vdot(amp, amp).real, state.lattice.n)
-    if np.any(resultants < 1e-6):
-        raise UndefinedCentroidError(
-            f"circular resultant {resultants.min():.3g} too small along an axis")
-    return centroids
+    return _circular_stats(
+        _shifted_overlaps(amp), np.vdot(amp, amp).real, state.lattice.n)[0]
 
 
 @dataclass(frozen=True)
@@ -473,10 +472,7 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
         _rotated_block(part, phasor.real, phasor.imag, block)
         phasor *= advance
         weight = np.vdot(block, block).real
-        c, s, r = _circular_stats(_shifted_overlaps(block), weight, lattice.n)
-        if np.any(r < 1e-6):
-            raise UndefinedCentroidError(
-                "packet spread out too far for a defined centroid")
+        c, s = _circular_stats(_shifted_overlaps(block), weight, lattice.n)
         samples.append((c, s, math.sqrt(weight)))
     del block, phasor, advance  # the prediction's peak stays under the loop's
     positions, spreads, norms = (np.array(v) for v in zip(*samples))

@@ -65,7 +65,9 @@ def _safe_momenta(rng, count, margin=0.2):
 
 def _check_algebra(results):
     report = algebra.verify_projector_conditions(1e-12)
-    results.append(_result("algebra.projector_conditions", report.max_residual, 1e-12,
+    residual = max(report.max_residual, abs(report.c_side - algebra.C_SIDE),
+                   abs(report.c_zero - algebra.C_ZERO))
+    results.append(_result("algebra.projector_conditions", residual, 1e-12,
                            f"{len(report.checks)} named conditions"))
 
     res = 0.0

@@ -813,18 +813,22 @@ def test_out_to_a_directory_names_the_given_path(capsys, tmp_path, argv):
 
 
 def test_out_file_mode_is_the_umask_default_or_kept(tmp_path):
-    # mkstemp's 0600 used to survive the rename onto either file
-    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    # mkstemp's 0600 used to survive the rename onto either file; a second
+    # umask tells the umask default from a fixed 0o644
+    new, old, private = (tmp_path / f"{name}.csv"
+                         for name in ("new", "old", "private"))
     old.write_text("old\n")
     os.chmod(old, 0o604)
     umask = os.umask(0o022)
     try:
         for out in (new, old):
             assert run_cli("bounds", "--format", "csv", "--out", str(out)) == 0
+        os.umask(0o027)
+        assert run_cli("bounds", "--format", "csv", "--out", str(private)) == 0
     finally:
         os.umask(umask)
-    assert [stat.S_IMODE(os.stat(p).st_mode) for p in (new, old)] == [
-        0o644, 0o604]
+    assert [stat.S_IMODE(os.stat(p).st_mode) for p in (new, old, private)] == [
+        0o644, 0o604, 0o640]
 
 
 @pytest.mark.parametrize("existing", [True, False])

@@ -709,6 +709,8 @@ def _exact_rotation(k, sign, mpmath):
 @given(k=oracle_momenta)
 # |v|^2 underflowed to 0 here, so the angle was 0 and the axis zero
 @example(k=[(0.0, 0.0, 4.5e-175)])
+# |v| = 2e-160, just under the small-|v| threshold 1e-150
+@example(k=[(0.0, 0.0, 2e-160)])
 @example(k=[(3e-200, -1e-180, 1e-190), (0.3, 1e-160, -0.2)])
 @example(k=[(1e-300, 0.0, 0.0), (2e-300, -1e-300, 5e-301)])
 def test_property_rotation_grids_match_a_200_bit_oracle(k):

@@ -55,6 +55,7 @@ from bosonwalk.budget import (
 )
 from bosonwalk.lattice import (
     _circular_stats,
+    _cyclic_window,
     _packet_parts,
     _packet_support,
     _packet_window,
@@ -420,7 +421,8 @@ def test_centroid_undefined_for_uniform_state():
     lat = Lattice(8)
     amp = np.full((8, 8, 8, 6), 1.0 + 0j)
     amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
-    with pytest.raises(UndefinedCentroidError):
+    with pytest.raises(UndefinedCentroidError,
+                       match="^packet spread out too far for a defined centroid$"):
         centroid(LatticeState(lat, "position", amp))
 
 
@@ -822,6 +824,14 @@ def test_gaussian_packet_window_is_the_whole_lattice():
     offset = BRANCHES[spec.helicity][1]
     np.testing.assert_array_equal(
         block, make_wavepacket(lat, spec).amplitudes[..., offset:offset + 3])
+
+
+def test_cyclic_window_past_a_one_index_gap_is_the_whole_axis_in_order():
+    # a gap of one empty index is the halo itself: nothing is cut, and the
+    # axis keeps its order rather than starting after the gap
+    occupied = np.ones(8, dtype=bool)
+    occupied[5] = False
+    np.testing.assert_array_equal(_cyclic_window(occupied), np.arange(8))
 
 
 def test_sparse_packet_memory_does_not_grow_with_the_lattice():

@@ -164,6 +164,12 @@ REFUSALS = {
         ArgumentOutOfRangeError,
         "kappa [1e+308, 0.1, 0.2] is too large for a difference step of 1e-06: "
         "the floats near it are too far apart"),
+    # at 2e8, k +- step rounds 1.3e-8 off, 1.3% of the step
+    "numeric velocity where k +- step rounds just past 1%": (
+        lambda tmp: kernel.group_velocity_numeric((2e8, 0.3, 0.2)),
+        ArgumentOutOfRangeError,
+        "kappa [200000000.0, 0.3, 0.2] is too large for a difference step of "
+        "1e-06: the floats near it are too far apart"),
     **{f"{builder.__name__} of axis {axis!r}": (
         lambda tmp, builder=builder, axis=axis: builder(axis),
         InvalidArgumentError, f"axis must be 0, 1 or 2, got {axis!r}")
@@ -194,6 +200,9 @@ REFUSALS = {
     "snapped momentum on a lattice past 2**53": (
         lambda tmp: lattice.snap_to_grid((0.4, 0.0, 0.0), 2**1024),
         InvalidArgumentError, f"lattice size {2**1024} exceeds 2**53"),
+    "snapped momentum on an even lattice just past 2**53": (
+        lambda tmp: lattice.snap_to_grid((0.4, 0.0, 0.0), 2**53 + 2),
+        InvalidArgumentError, "lattice size 9007199254740994 exceeds 2**53"),
     "measured steps of a fraction": (
         lambda tmp: _measure(steps=2.5), InvalidArgumentError,
         "steps must be an integer, got 2.5"),

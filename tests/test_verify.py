@@ -1,13 +1,15 @@
-"""The invariant suite's seeded momentum sampling."""
+"""The invariant suite's seeded momentum sampling and its algebra check."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonwalk import algebra
 from bosonwalk.kernel import mirror_phase, phase
-from bosonwalk.verify import _safe_momenta
+from bosonwalk.verify import _check_algebra, _safe_momenta
 
 
 def one_at_a_time_safe_momenta(rng, count, margin):
@@ -33,3 +35,13 @@ def test_property_batched_safe_momenta_match_one_at_a_time(seed, count, margin):
     np.testing.assert_array_equal(batched, reference)
     assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
 
+
+def test_projector_check_fails_on_a_sandwich_constant_off_its_value(monkeypatch):
+    # each identity is tested against its own measured trace ratio, so only
+    # the offset of the measured 1/4 from C_SIDE can see a wrong constant
+    monkeypatch.setattr(algebra, "C_SIDE", 0.3)
+    results = []
+    _check_algebra(results)
+    check = next(c for c in results if c.name == "algebra.projector_conditions")
+    assert not check.passed
+    assert check.residual == pytest.approx(0.05)
