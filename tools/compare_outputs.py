@@ -120,6 +120,8 @@ def invocations() -> list[tuple[str, ...]]:
                      "--out", f"surface.{fmt}"))
         for name in _packets():
             runs.append(("propagate", "--packet", f"{name}.json", "--format", fmt))
+        runs.append(("propagate", "--packet", "dense-0.json", "--format", fmt,
+                     "--out", f"propagate.{fmt}"))
     return runs
 
 
