@@ -425,24 +425,31 @@ class CentroidTrajectory:
 
 @dataclass(frozen=True)
 class MeasuredVelocity:
-    velocity: GroupVelocity
-    fit_residual: float
     trajectory: CentroidTrajectory
     predicted: np.ndarray  # predicted_packet_velocity of the same packet
+
+    def _fit(self) -> tuple[GroupVelocity, float]:
+        """Per-axis least-squares slopes and the RMS residual, in sites."""
+        t, x = self.trajectory.steps.astype(float), self.trajectory.positions
+        slopes, intercepts = np.polyfit(t, x, 1)
+        residuals = x - (t[:, None] * slopes + intercepts)
+        return GroupVelocity(*slopes), float(np.sqrt(np.mean(residuals ** 2)))
+
+    velocity = property(lambda self: self._fit()[0])  # fitted on each read
+    fit_residual = property(lambda self: self._fit()[1])
 
 
 def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
                            steps: int, sample_every: int = 1) -> MeasuredVelocity:
-    """Propagate a packet and fit its centroid drift per step.
+    """Propagate a packet and sample its centroid trajectory.
 
     The packet stays in momentum space: every `sample_every` steps its
     block at each mode is evaluated as a rotation by the elapsed multiple
     of its angle, and the centroid is read from shifted-mode overlaps, so
     no Fourier transform and no 6x6 matrix is formed.  The centroid is
     unwrapped against the previous sample (valid because the per-sample
-    displacement is below n/2 sites), and a least-squares line per axis
-    gives the velocity.  fit_residual is the RMS of the fit residuals over
-    all samples and axes, in sites; `predicted` is the mode-weighted
+    displacement is below n/2 sites).  Its velocity and fit_residual are
+    fitted from the trajectory when read; `predicted` is the mode-weighted
     velocity, read from the same packet split.
     """
     if not isinstance(sample_every, numbers.Integral) or sample_every < 1:
@@ -481,16 +488,10 @@ def measure_group_velocity(lattice: Lattice, spec: WavePacketSpec,
     deltas = (np.diff(positions, axis=0) + n / 2) % n - n / 2
     unwrapped = positions[0] + np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)])
 
-    t = np.asarray(sample_steps, dtype=float)
-    slopes, intercepts = np.polyfit(t, unwrapped, 1)
-    residuals = unwrapped - (t[:, None] * slopes + intercepts)
-    fit_residual = float(np.sqrt(np.mean(residuals ** 2)))
-
     trajectory = CentroidTrajectory(
         steps=np.asarray(sample_steps), positions=unwrapped,
         spreads=spreads, norms=norms)
-    return MeasuredVelocity(GroupVelocity(*slopes), fit_residual, trajectory,
-                            _predicted_velocity(grids, parts))
+    return MeasuredVelocity(trajectory, _predicted_velocity(grids, parts))
 
 
 def project_to_branch(state: LatticeState, helicity: int = 0) -> LatticeState:

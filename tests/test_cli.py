@@ -4,6 +4,7 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -149,7 +150,11 @@ def test_surface_bytes_match_per_row_reference(tmp_path_factory, m, fmt):
     out = tmp_path_factory.mktemp("surface") / f"surface.{fmt}"
     assert run_cli("surface", "--grid", str(m), "--format", fmt,
                    "--out", str(out)) == 0
-    assert out.read_text() == reference_surface(m, fmt)
+    got, want = out.read_text(), reference_surface(m, fmt)
+    same = got == want  # outside the assert: pytest would diff the whole texts
+    assert same, next(f"line {i}: {a!r} != {b!r}" for i, (a, b) in enumerate(
+        itertools.zip_longest(got.splitlines(True), want.splitlines(True)), 1)
+        if a != b)
 
 
 def test_surface_reference_covers_signed_zeros_and_degenerate_rows():
@@ -224,6 +229,20 @@ def test_propagate_json_summary(tmp_path):
     predicted = np.array(summary["predicted_packet_velocity"])
     assert np.max(np.abs(measured - predicted)) <= 0.02
     assert summary["norm_drift"] <= 1e-12
+
+
+def test_propagate_fits_the_trajectory_only_where_json_reads_it(
+        tmp_path, monkeypatch):
+    packet = write_packet(tmp_path)
+    plain, counted = tmp_path / "plain.csv", tmp_path / "counted.csv"
+    assert run_cli("propagate", "--packet", packet, "--out", str(plain)) == 0
+    calls, polyfit = [], np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda *a: calls.append(a) or polyfit(*a))
+    assert run_cli("propagate", "--packet", packet, "--out", str(counted)) == 0
+    assert calls == [] and counted.read_bytes() == plain.read_bytes()
+    assert run_cli("propagate", "--packet", packet, "--format", "json",
+                   "--out", str(tmp_path / "summary.json")) == 0
+    assert len(calls) >= 1
 
 
 def test_propagate_sparse_packet_on_a_large_lattice(tmp_path):

@@ -451,6 +451,20 @@ def test_measured_velocity_tracks_prediction_sinc_axis():
     assert abs(mv.velocity.vy) <= 1e-12 and abs(mv.velocity.vz) <= 1e-12
 
 
+def test_velocity_and_residual_are_fitted_from_the_trajectory_when_read(
+        monkeypatch):
+    calls, polyfit = [], np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda *a: calls.append(a) or polyfit(*a))
+    spec = WavePacketSpec("sinc", (0.4, 0.3, 0.0), (8, 8, 8), 2)
+    mv = measure_group_velocity(Lattice(16), spec, steps=6)
+    assert calls == []
+    t, x = mv.trajectory.steps.astype(float), mv.trajectory.positions
+    slopes, intercepts = polyfit(t, x, 1)
+    rms = float(np.sqrt(np.mean((x - (t[:, None] * slopes + intercepts)) ** 2)))
+    assert mv.velocity.as_array().tobytes() == slopes.tobytes()
+    assert mv.fit_residual.hex() == rms.hex()
+
+
 def recentred_mean(state):
     """Plain mean position of a position-basis state over the lattice
     recentred on its circular centroid, which is free of the circular
